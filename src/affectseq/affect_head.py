@@ -89,12 +89,6 @@ class AffectOutput:
         return self
 
 
-def _np_softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def head_forward(features, params, config):
     """Numeric forward pass; accepts a single descriptor or a batch."""
     x = np.asarray(features, dtype=np.float64)
@@ -102,8 +96,8 @@ def head_forward(features, params, config):
     for i in range(config.n_blocks):
         h = h + np.tanh(h @ params[f"trunk.block{i}.w"] + params[f"trunk.block{i}.b"])
     va = np.tanh(h @ params["va.w"] + params["va.b"])
-    expr = _np_softmax(h @ params["expr.w"] + params["expr.b"])
-    au = 1.0 / (1.0 + np.exp(-(h @ params["au.w"] + params["au.b"])))
+    expr = ad.np_softmax(h @ params["expr.w"] + params["expr.b"])
+    au = ad.np_sigmoid(h @ params["au.w"] + params["au.b"])
     return AffectOutput(va=va, expr=expr, au=au)
 
 

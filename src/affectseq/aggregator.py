@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .affect_head import head_nodes
 from .optim import adam_step
 
 
@@ -59,10 +60,6 @@ def init_params(config, seed):
     return params
 
 
-def _np_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def gru_forward(frames, params, prefix="gru0", h0=None):
     """Run the GRU over a (t, d) sequence; returns all hidden states (t, d').
 
@@ -80,8 +77,8 @@ def gru_forward(frames, params, prefix="gru0", h0=None):
     h = np.zeros(d_hidden) if h0 is None else np.asarray(h0, dtype=np.float64)
     out = np.empty((frames.shape[0], d_hidden))
     for k, x in enumerate(frames):
-        u = _np_sigmoid(x @ wz + h @ uz + bz)
-        r = _np_sigmoid(x @ wr + h @ ur + br)
+        u = ad.np_sigmoid(x @ wz + h @ uz + bz)
+        r = ad.np_sigmoid(x @ wr + h @ ur + br)
         c = np.tanh(x @ wh + (r * h) @ uh + bh)
         h = (1.0 - u) * h + u * c
         out[k] = h
@@ -128,7 +125,7 @@ def video_forward(frames, length, params, config):
         z = mask_by_length(z, length, config.d_hidden)
     z3 = np.tanh(z @ params["ff1.w"] + params["ff1.b"])
     u = z3 @ params["out.w"] + params["out.b"]
-    return _np_sigmoid(u) if config.sigmoid_output else u
+    return ad.np_sigmoid(u) if config.sigmoid_output else u
 
 
 # ---------------------------------------------------------------------------
@@ -176,32 +173,22 @@ def forward_nodes(config, batch_size, frame_nodes=None):
     return params, xs, u
 
 
-def _pearson_core(preds, labels, bump, keep):
-    cov = ad.covariance(preds, labels, axis=0)
-    den = ad.sqrt(ad.mul(ad.variance(preds, axis=0), ad.variance(labels, axis=0)))
-    if bump is not None:
-        den = ad.add(den, bump)
-    rho = ad.div(cov, den)
-    if keep is not None:
-        rho = ad.mul(rho, keep)
-    return ad.sub(ad.constant(1.0), ad.reduce_mean(rho))
-
-
-def pearson_loss_node(preds, labels, degenerate_cols=None, guard_nodes=None):
+def pearson_loss_node(preds, labels, guard_nodes=None):
     """1 - mean over outputs of the per-column batch Pearson correlation.
 
     Columns whose correlation is defined as zero get their denominator
-    bumped and the resulting ratio zeroed exactly; either through
-    `degenerate_cols` (a fixed boolean vector) or `guard_nodes`, a
-    (bump, keep) pair of leaves bound per batch so one cached graph can
-    serve batches with and without constant label columns.
+    bumped and the resulting ratio zeroed exactly through `guard_nodes`,
+    a (bump, keep) pair of nodes. Bound per batch as leaves, they let one
+    cached graph serve batches with and without constant label columns.
     """
+    cov = ad.covariance(preds, labels, axis=0)
+    den = ad.sqrt(ad.mul(ad.variance(preds, axis=0), ad.variance(labels, axis=0)))
     if guard_nodes is not None:
-        return _pearson_core(preds, labels, *guard_nodes)
-    if degenerate_cols is not None and np.any(degenerate_cols):
-        bump = np.where(degenerate_cols, 1.0, 0.0)
-        return _pearson_core(preds, labels, ad.constant(bump), ad.constant(1.0 - bump))
-    return _pearson_core(preds, labels, None, None)
+        den = ad.add(den, guard_nodes[0])
+    rho = ad.div(cov, den)
+    if guard_nodes is not None:
+        rho = ad.mul(rho, guard_nodes[1])
+    return ad.sub(ad.constant(1.0), ad.reduce_mean(rho))
 
 
 def column_guards(labels):
@@ -216,9 +203,9 @@ def mse_loss_node(preds, labels):
     return ad.reduce_mean(ad.mul(diff, diff))
 
 
-def loss_node(preds, labels, loss_kind, degenerate_cols=None, guard_nodes=None):
+def loss_node(preds, labels, loss_kind, guard_nodes=None):
     if loss_kind == "pearson":
-        return pearson_loss_node(preds, labels, degenerate_cols, guard_nodes)
+        return pearson_loss_node(preds, labels, guard_nodes)
     if loss_kind == "mse":
         return mse_loss_node(preds, labels)
     raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -242,10 +229,11 @@ def pearson_loss(preds, labels):
     if preds.shape[0] < 2:
         raise ValueError("need a batch of at least 2")
     degenerate = _constant_columns(preds) | _constant_columns(labels)
-    node = pearson_loss_node(
-        ad.constant(preds), ad.constant(labels),
-        degenerate if degenerate.any() else None,
-    )
+    guards = None
+    if degenerate.any():
+        bump = degenerate.astype(np.float64)
+        guards = (ad.constant(bump), ad.constant(1.0 - bump))
+    node = pearson_loss_node(ad.constant(preds), ad.constant(labels), guards)
     return float(ad.Graph(node).evaluate({}))
 
 
@@ -261,12 +249,17 @@ def mse_loss(preds, labels):
 # batched execution
 
 
-def batch_bindings(config, params, frames, lengths, labels=None):
-    """Bind a (n, t, d) batch to the placeholders of forward_nodes."""
+def batch_bindings(config, params, frames, lengths, labels=None, d_frame=None):
+    """Bind a (n, t, d) batch to the placeholders of forward_nodes.
+
+    `d_frame` is the frame width d, config.d_in unless a head sits in
+    front of the aggregator.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[0]
-    if frames.shape != (n, config.t, config.d_in):
-        raise ValueError(f"frames shape {frames.shape}, expected (n, {config.t}, {config.d_in})")
+    d = config.d_in if d_frame is None else d_frame
+    if frames.shape != (n, config.t, d):
+        raise ValueError(f"frames shape {frames.shape}, expected (n, {config.t}, {d})")
     bindings = dict(params)
     for k in range(config.t):
         bindings[f"x_{k}"] = frames[:, k, :]
@@ -280,13 +273,31 @@ def batch_bindings(config, params, frames, lengths, labels=None):
 
 
 class BatchRunner:
-    """Reusable graphs for one (config, batch size): forward and loss."""
+    """Reusable graphs for one (config, batch size): forward and loss.
 
-    def __init__(self, config, batch_size, loss_kind=None):
+    With a `head_config`, each frame placeholder x_k of width
+    head_config.d_in first passes through a copy of the multi-task head;
+    all copies share one set of head parameter leaves, so the graph
+    trains head and aggregator jointly.
+    """
+
+    def __init__(self, config, batch_size, loss_kind=None, head_config=None):
         self.config = config
         self.batch_size = batch_size
         self.loss_kind = loss_kind
-        _, _, self.u = forward_nodes(config, batch_size)
+        self.d_frame = config.d_in
+        frame_nodes = None
+        if head_config is not None:
+            self.d_frame = head_config.d_in
+            leaves = {
+                name: ad.param(name, shape) for name, shape in head_config.param_shapes().items()
+            }
+            frame_nodes = []
+            for k in range(config.t):
+                x = ad.placeholder(f"x_{k}", (batch_size, head_config.d_in))
+                out, _ = head_nodes(head_config, x, params=leaves)
+                frame_nodes.append(ad.concat([out.va, out.expr, out.au], axis=1))
+        _, _, self.u = forward_nodes(config, batch_size, frame_nodes)
         root = self.u
         if loss_kind is not None:
             labels = ad.placeholder("labels", (batch_size, config.n_out))
@@ -300,19 +311,15 @@ class BatchRunner:
         self.graph = ad.Graph(root)
 
     def forward(self, params, frames, lengths):
-        bindings = batch_bindings(self.config, params, frames, lengths)
+        bindings = batch_bindings(self.config, params, frames, lengths, d_frame=self.d_frame)
         if self.loss_kind is None:
             return self.graph.evaluate(bindings)
         self.graph.evaluate(bindings)
         return self.graph.cached_value(self.u)
 
-    def loss(self, params, frames, lengths, labels):
-        bindings = batch_bindings(self.config, params, frames, lengths, labels)
-        return float(self.graph.evaluate(bindings))
-
     def step(self, params, opt_state, frames, lengths, labels, lr):
         """One Adam step; returns (params, opt_state, loss value)."""
-        bindings = batch_bindings(self.config, params, frames, lengths, labels)
+        bindings = batch_bindings(self.config, params, frames, lengths, labels, self.d_frame)
         value = float(self.graph.evaluate(bindings))
         if not np.isfinite(value):
             raise ad.GraphError("non-finite loss")
@@ -342,21 +349,12 @@ def train_step(frames, lengths, labels, params, opt_state, lr, config, loss_kind
 def predict(samples, params, config, chunk_size=64):
     """Batched forward over a dataset; deterministic and order-preserving.
 
-    `samples` is a sequence of objects with .frames and .length (or
-    (frames, length) pairs).
+    `samples` is a sequence of objects with .frames and .length.
     """
-    frames, lengths = [], []
-    for s in samples:
-        if hasattr(s, "frames"):
-            frames.append(s.frames)
-            lengths.append(s.length)
-        else:
-            frames.append(s[0])
-            lengths.append(s[1])
-    if not frames:
+    if not samples:
         return np.zeros((0, config.n_out))
-    frames = np.asarray(frames, dtype=np.float64)
-    lengths = np.asarray(lengths)
+    frames = np.asarray([s.frames for s in samples], dtype=np.float64)
+    lengths = np.asarray([s.length for s in samples])
     outputs = []
     runners = {}
     for start in range(0, len(frames), chunk_size):

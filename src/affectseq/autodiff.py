@@ -231,7 +231,14 @@ def affine(x, w, b):
 # forward rules
 
 
-def _fw_softmax(x):
+def np_sigmoid(x):
+    """Logistic function of an array; the one numeric sigmoid in the package."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def np_softmax(x):
+    """Softmax over the last axis with max subtraction; the one numeric
+    softmax in the package."""
     z = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
@@ -253,8 +260,8 @@ _FORWARD = {
     "div": lambda n, a, b: a / b,
     "matmul": lambda n, a, b: np.matmul(a, b),
     "tanh": lambda n, a: np.tanh(a),
-    "sigmoid": lambda n, a: 1.0 / (1.0 + np.exp(-a)),
-    "softmax": lambda n, a: _fw_softmax(a),
+    "sigmoid": lambda n, a: np_sigmoid(a),
+    "softmax": lambda n, a: np_softmax(a),
     "log": _fw_log,
     "sqrt": lambda n, a: np.sqrt(a),
     "sum": lambda n, a: np.sum(a, axis=n.attrs["axis"]),
@@ -490,14 +497,6 @@ class Graph:
             name: grads.get(id(p), np.zeros(p.shape))
             for name, p in self.params.items()
         }
-
-
-def evaluate(graph, bindings):
-    return graph.evaluate(bindings)
-
-
-def backward(graph):
-    return graph.backward()
 
 
 # ---------------------------------------------------------------------------

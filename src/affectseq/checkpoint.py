@@ -42,6 +42,15 @@ def save_checkpoint(path, params, config, kind):
     Path(path).write_text(json.dumps(blob, sort_keys=True) + "\n")
 
 
+def _field(obj, key, where):
+    """obj[key]; a CheckpointError naming the field when obj lacks it."""
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise CheckpointError(f"{where} lacks field {key!r}")
+    return obj[key]
+
+
 def load_checkpoint(path):
     path = Path(path)
     if not path.exists():
@@ -50,13 +59,19 @@ def load_checkpoint(path):
         blob = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {e.msg}") from None
-    if blob.get("schema_version") != SCHEMA_VERSION:
-        raise CheckpointError(f"unsupported checkpoint schema {blob.get('schema_version')!r}")
+    where = f"checkpoint {path}"
+    version = _field(blob, "schema_version", where)
+    if version != SCHEMA_VERSION:
+        raise CheckpointError(f"unsupported checkpoint schema {version!r}")
+    kind, config, entries = (_field(blob, key, where) for key in ("kind", "config", "params"))
+    if not isinstance(entries, dict):
+        raise CheckpointError(f"{where}: field 'params' is not a JSON object")
     params = {}
-    for name, entry in blob["params"].items():
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
+    for name, entry in entries.items():
+        at = f"{where}: parameter {name!r}"
+        shape = tuple(_field(entry, "shape", at))
+        data = np.asarray(_field(entry, "data", at), dtype=np.float64)
         if data.size != int(np.prod(shape)):
             raise CheckpointError(f"parameter {name!r}: data does not match shape {shape}")
         params[name] = data.reshape(shape)
-    return Checkpoint(kind=blob["kind"], config=blob["config"], params=params)
+    return Checkpoint(kind=kind, config=config, params=params)

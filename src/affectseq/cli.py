@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +85,12 @@ def _split_from_config(samples, config):
     return data.split(samples, config.parse_fractions(), config.seed)
 
 
+def _nonempty(part, name, config):
+    if not part:
+        raise ConfigError(f"the {name} split is empty under --fractions {config.fractions}")
+    return part
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -109,7 +115,7 @@ def cmd_gen(config):
 
 
 def _aggregator_config_for(config, samples):
-    width = samples[0].frames.shape[1]
+    width = _nonempty(samples, "train", config)[0].frames.shape[1]
     return config.aggregator_config(d_in=width)
 
 
@@ -123,7 +129,7 @@ def _prepare_video_splits(config, manifest, parts):
         ck = load_checkpoint(config.head_checkpoint)
         if ck.kind != "head":
             raise CheckpointError(f"expected a head checkpoint, got kind {ck.kind!r}")
-        head_config = _head_config_from(ck)
+        head_config = _run_config_from(ck).head_config()
         parts = {
             name: training.transform_videos(part, ck.params, head_config)
             for name, part in parts.items()
@@ -136,9 +142,10 @@ def _prepare_video_splits(config, manifest, parts):
     return parts
 
 
-def _head_config_from(ck):
-    blob = {k: v for k, v in ck.config.items() if k in {f.name for f in fields(RunConfig)}}
-    return RunConfig(**blob).head_config()
+def _run_config_from(ck):
+    """The RunConfig stored in a checkpoint."""
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in ck.config.items() if k in names})
 
 
 def _check_param_shapes(params, expected_shapes, context):
@@ -160,11 +167,6 @@ def _checkpoint_config(config):
     return blob
 
 
-def _write_curves(out, history, series):
-    training.write_curve_csv(out / "curve.csv", history)
-    training.write_curve_svg(out / "curve.svg", history, series=series)
-
-
 def cmd_train(config):
     out = _out_dir(config)
     if config.stage == "mma":
@@ -176,9 +178,7 @@ def cmd_train(config):
             epochs=config.epochs, batch_size=config.batch_size,
             lr=config.lr, seed=config.seed,
         )
-        save_checkpoint(out / "checkpoint.json", outcome.params, _checkpoint_config(config), "head")
-        _write_curves(out, outcome.history, ("train_loss", "val_loss"))
-        print(f"best epoch {outcome.best_epoch} val_loss {outcome.best_metric:.6f}")
+        kind, metric_key = "head", "val_loss"
     elif config.stage == "mrnn-frozen":
         samples, manifest = _load_videos(config)
         parts = _prepare_video_splits(config, manifest, _split_from_config(samples, config))
@@ -193,9 +193,7 @@ def cmd_train(config):
             epochs=config.epochs, batch_size=config.batch_size,
             lr=config.lr, loss_kind=config.loss, seed=config.seed, init_params=init,
         )
-        save_checkpoint(out / "checkpoint.json", outcome.params, _checkpoint_config(config), "aggregator")
-        _write_curves(out, outcome.history, ("train_loss", "val_mean_rho"))
-        print(f"best epoch {outcome.best_epoch} val_mean_rho {outcome.best_metric:.6f}")
+        kind, metric_key = "aggregator", "val_mean_rho"
     else:  # end-to-end
         samples, manifest = _load_videos(config)
         if manifest.recipe.get("feature_kind") != "descriptor":
@@ -218,9 +216,11 @@ def cmd_train(config):
             loss_kind=config.loss, seed=config.seed,
             init_head=init_head, init_agg=init_agg,
         )
-        save_checkpoint(out / "checkpoint.json", outcome.params, _checkpoint_config(config), "joint")
-        _write_curves(out, outcome.history, ("train_loss", "val_mean_rho"))
-        print(f"best epoch {outcome.best_epoch} val_mean_rho {outcome.best_metric:.6f}")
+        kind, metric_key = "joint", "val_mean_rho"
+    save_checkpoint(out / "checkpoint.json", outcome.params, _checkpoint_config(config), kind)
+    training.write_curve_csv(out / "curve.csv", outcome.history)
+    training.write_curve_svg(out / "curve.svg", outcome.history, series=("train_loss", metric_key))
+    print(f"best epoch {outcome.best_epoch} {metric_key} {outcome.best_metric:.6f}")
     print(f"checkpoint {out / 'checkpoint.json'}")
     return EXIT_OK
 
@@ -235,15 +235,14 @@ def cmd_eval(config):
         raise ConfigError("--checkpoint is required")
     ck = load_checkpoint(config.checkpoint)
     samples, manifest = _load_videos(config)
-    part = _split_from_config(samples, config)[config.split]
-    stored = {k: v for k, v in ck.config.items() if k in {f.name for f in fields(RunConfig)}}
-    run = RunConfig(**stored)
+    part = _nonempty(_split_from_config(samples, config)[config.split], config.split, config)
+    run = _run_config_from(ck)
     if ck.kind == "aggregator":
         if manifest.recipe.get("feature_kind", "affect") == "descriptor":
             if not config.head_checkpoint:
                 raise ConfigError("descriptor videos need --head-checkpoint")
             hck = load_checkpoint(config.head_checkpoint)
-            part = training.transform_videos(part, hck.params, _head_config_from(hck))
+            part = training.transform_videos(part, hck.params, _run_config_from(hck).head_config())
         if run.representation != "all":
             part = data.select_columns(part, run.representation)
         agg_config = run.aggregator_config(d_in=part[0].frames.shape[1])
@@ -252,9 +251,7 @@ def cmd_eval(config):
     elif ck.kind == "joint":
         head_config = run.head_config()
         agg_config = run.aggregator_config(d_in=26)
-        head_names = set(head_config.param_shapes())
-        hp = {k: v for k, v in ck.params.items() if k in head_names}
-        ap = {k: v for k, v in ck.params.items() if k not in head_names}
+        hp, ap = training.split_joint_params(ck.params, head_config)
         _check_param_shapes(hp, head_config.param_shapes(), "eval")
         _check_param_shapes(ap, agg_config.param_shapes(), "eval")
         preds = training.joint_predict(part, hp, head_config, ap, agg_config)
@@ -316,19 +313,10 @@ def cmd_gradcheck(config, epsilon=1e-6, inject_fault=False):
 def _ablate_variant(args):
     (subset, mask_on, loss_kind, train_samples, val_samples, config_blob) = args
     config = RunConfig(**config_blob)
-    train_s = data.select_columns(train_samples, subset)
-    val_s = data.select_columns(val_samples, subset)
-    agg_config = agg.AggregatorConfig(
-        d_in=train_s[0].frames.shape[1],
-        t=config.t,
-        d_hidden=config.d_hidden,
-        d_ff=config.d_ff,
-        gru_layers=config.gru_layers,
-        mask_enabled=mask_on,
-        sigmoid_output=config.sigmoid_output,
-    )
+    agg_config = replace(config, representation=subset, mask=mask_on).aggregator_config()
     outcome = training.train_aggregator(
-        train_s, val_s, agg_config,
+        data.select_columns(train_samples, subset), data.select_columns(val_samples, subset),
+        agg_config,
         epochs=config.epochs, batch_size=config.batch_size,
         lr=config.lr, loss_kind=loss_kind, seed=config.seed,
     )
@@ -341,11 +329,17 @@ def _ablate_variant(args):
 
 
 def cmd_ablate(config):
+    raw = os.environ.get("AFFECTSEQ_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"AFFECTSEQ_THREADS must be an integer, got {raw!r}") from None
     out = _out_dir(config)
     samples, manifest = _load_videos(config)
     if manifest.d != 26 or manifest.recipe.get("feature_kind", "affect") != "affect":
         raise ConfigError("ablation needs a full 26-dim affect video dataset")
     parts = _split_from_config(samples, config)
+    _nonempty(parts["train"], "train", config)
     config_blob = config.to_dict()
     config_blob.pop("schema_version", None)
     variants = [
@@ -354,7 +348,6 @@ def cmd_ablate(config):
         for mask_on in (True, False)
         for loss_kind in ("pearson", "mse")
     ]
-    threads = int(os.environ.get("AFFECTSEQ_THREADS", "1"))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_ablate_variant, variants))

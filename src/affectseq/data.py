@@ -36,6 +36,7 @@ from .affect_space import (
     relatedness_matrix,
 )
 from .affect_head import FrameBatch
+from .autodiff import np_softmax
 
 SCHEMA_VERSION = "1"
 
@@ -163,12 +164,6 @@ def _mixture_logits(va, temperature):
     return -d2 / temperature
 
 
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def gen_frame_dataset(seed, n, recipe):
     """Frame samples with configurable partial annotation; deterministic."""
     if n < 1:
@@ -186,7 +181,7 @@ def gen_frame_dataset(seed, n, recipe):
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
         rng = np.random.default_rng(child)
         va = rng.uniform(-0.9, 0.9, size=2)
-        weights = _softmax(
+        weights = np_softmax(
             _mixture_logits(va, recipe.temperature)
             + recipe.noise * rng.normal(size=len(EXPRESSIONS))
         )
@@ -257,7 +252,7 @@ def _affect_trajectory(rng, length, recipe):
         )
         va[k] = x
     va_obs = np.clip(va + recipe.feature_noise * rng.normal(size=(length, 2)), -1.0, 1.0)
-    weights = _softmax(
+    weights = np_softmax(
         _mixture_logits(va, recipe.temperature)
         + recipe.mix_noise * rng.normal(size=(length, len(EXPRESSIONS)))
     )

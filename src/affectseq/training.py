@@ -1,6 +1,10 @@
-"""Epoch loops for the three training stages, plus curve files.
+"""One epoch loop for the three training stages, plus curve files.
 
-Stages:
+`fit` owns what every stage shares: the seeded batch permutation, the
+Adam state, the per-epoch history and the best-epoch tracking. Each
+stage is a thin adapter that supplies one optimizer step and one
+validation metric:
+
   * "mma":         multi-task head on frame datasets, tracked by
                    validation total loss (lower is better);
   * "mrnn-frozen": aggregator on affect-feature videos (either native
@@ -21,9 +25,8 @@ import numpy as np
 
 from . import affect_head as head
 from . import aggregator as agg
-from . import autodiff as ad
 from . import metrics
-from .data import frame_batch, video_arrays
+from .data import VideoSample, frame_batch, video_arrays
 from .optim import adam_init
 
 
@@ -51,74 +54,91 @@ def mean_correlation(preds, labels):
     return metrics.evaluate(preds, labels, "intensity").mean
 
 
-def train_aggregator(train_samples, val_samples, agg_config, *, epochs, batch_size,
-                     lr, loss_kind, seed, init_params=None):
-    frames, lengths, labels = video_arrays(train_samples)
-    params = init_params if init_params is not None else agg.init_params(agg_config, seed)
+def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,
+        metric_key, higher_is_better):
+    """Train for `epochs` passes over `n` examples; keep the best epoch.
+
+    `step(params, opt_state, idx)` runs one Adam step on the examples
+    `idx` and returns (params, opt_state, loss); `validate(params)`
+    returns the metric recorded under `metric_key`. Batches smaller than
+    `min_size` are skipped. Epoch 0 (the initial parameters) is a
+    candidate; a NaN metric always replaces the best, and on ties the
+    earlier epoch wins.
+    """
     state = adam_init(params)
     rng = np.random.default_rng(seed)
-    runners = {}
-    min_size = 2 if loss_kind == "pearson" else 1
-
-    def val_metric(p):
-        if len(val_samples) >= 2:
-            return mean_correlation(agg.predict(val_samples, p, agg_config),
-                                    np.asarray([s.label for s in val_samples]))
-        return float("nan")
-
-    best = TrainOutcome(params=_copy_params(params), best_epoch=0, best_metric=val_metric(params))
+    best = TrainOutcome(params=_copy_params(params), best_epoch=0, best_metric=validate(params))
     history = []
     for epoch in range(1, epochs + 1):
         losses = []
-        for idx in _epoch_batches(len(frames), batch_size, rng, min_size):
-            n = len(idx)
-            if n not in runners:
-                runners[n] = agg.BatchRunner(agg_config, n, loss_kind)
-            params, state, value = runners[n].step(
-                params, state, frames[idx], lengths[idx], labels[idx], lr
-            )
-            losses.append(value)
-        metric = val_metric(params)
+        for idx in _epoch_batches(n, batch_size, rng, min_size):
+            params, state, loss = step(params, state, idx)
+            losses.append(loss)
+        metric = validate(params)
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_mean_rho": metric,
+            metric_key: metric,
         })
-        if np.isnan(metric) or metric > best.best_metric:
+        better = metric > best.best_metric if higher_is_better else metric < best.best_metric
+        if np.isnan(metric) or better:
             best = TrainOutcome(params=_copy_params(params), best_epoch=epoch, best_metric=metric)
     best.history = history
     return best
+
+
+def _fit_videos(params, train_samples, val_samples, make_runner, predict, *, epochs,
+                batch_size, lr, loss_kind, seed):
+    """`fit` over video samples: one cached runner per batch size, tracked
+    by validation mean correlation of `predict(val_samples, params)`."""
+    frames, lengths, labels = video_arrays(train_samples)
+    val_labels = np.asarray([s.label for s in val_samples])
+    runners = {}
+
+    def step(p, state, idx):
+        n = len(idx)
+        if n not in runners:
+            runners[n] = make_runner(n)
+        return runners[n].step(p, state, frames[idx], lengths[idx], labels[idx], lr)
+
+    def validate(p):
+        if len(val_samples) >= 2:
+            return mean_correlation(predict(val_samples, p), val_labels)
+        return float("nan")
+
+    return fit(params, len(frames), step, validate, epochs=epochs, batch_size=batch_size,
+               seed=seed, min_size=2 if loss_kind == "pearson" else 1,
+               metric_key="val_mean_rho", higher_is_better=True)
+
+
+def train_aggregator(train_samples, val_samples, agg_config, *, epochs, batch_size,
+                     lr, loss_kind, seed, init_params=None):
+    params = init_params if init_params is not None else agg.init_params(agg_config, seed)
+    return _fit_videos(
+        params, train_samples, val_samples,
+        lambda n: agg.BatchRunner(agg_config, n, loss_kind),
+        lambda samples, p: agg.predict(samples, p, agg_config),
+        epochs=epochs, batch_size=batch_size, lr=lr, loss_kind=loss_kind, seed=seed,
+    )
 
 
 def train_head(train_samples, val_samples, head_config, *, epochs, batch_size, lr, seed,
                init_params=None):
     params = init_params if init_params is not None else head.init_head_params(head_config, seed)
-    state = adam_init(params)
-    rng = np.random.default_rng(seed)
 
-    def val_loss(p):
+    def step(p, state, idx):
+        batch = frame_batch([train_samples[i] for i in idx])
+        p, state, loss = head.head_train_step(batch, p, state, lr, head_config)
+        return p, state, loss.total
+
+    def validate(p):
         if val_samples:
             return head.head_loss(frame_batch(val_samples), p, head_config).total
         return float("nan")
 
-    best = TrainOutcome(params=_copy_params(params), best_epoch=0, best_metric=val_loss(params))
-    history = []
-    for epoch in range(1, epochs + 1):
-        losses = []
-        for idx in _epoch_batches(len(train_samples), batch_size, rng):
-            batch = frame_batch([train_samples[i] for i in idx])
-            params, state, loss = head.head_train_step(batch, params, state, lr, head_config)
-            losses.append(loss.total)
-        metric = val_loss(params)
-        history.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_loss": metric,
-        })
-        if np.isnan(metric) or metric < best.best_metric:
-            best = TrainOutcome(params=_copy_params(params), best_epoch=epoch, best_metric=metric)
-    best.history = history
-    return best
+    return fit(params, len(train_samples), step, validate, epochs=epochs,
+               batch_size=batch_size, seed=seed, metric_key="val_loss",
+               higher_is_better=False)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +147,6 @@ def train_head(train_samples, val_samples, head_config, *, epochs, batch_size, l
 
 def transform_videos(samples, head_params, head_config):
     """Run a frozen head over descriptor frames, emitting affect videos."""
-    from .data import VideoSample
-
     out = []
     for s in samples:
         affect = head.head_forward(s.frames, head_params, head_config).concat()
@@ -145,50 +163,20 @@ def joint_predict(samples, head_params, head_config, agg_params, agg_config):
     return agg.predict(transform_videos(samples, head_params, head_config), agg_params, agg_config)
 
 
-class JointRunner:
+def split_joint_params(params, head_config):
+    """Split a joint parameter dict into (head params, aggregator params)."""
+    head_names = set(head_config.param_shapes())
+    return (
+        {k: v for k, v in params.items() if k in head_names},
+        {k: v for k, v in params.items() if k not in head_names},
+    )
+
+
+class JointRunner(agg.BatchRunner):
     """Shared-parameter graph of head-per-frame plus aggregator."""
 
     def __init__(self, head_config, agg_config, batch_size, loss_kind):
-        self.head_config = head_config
-        self.agg_config = agg_config
-        self.batch_size = batch_size
-        head_leaves = {
-            name: ad.param(name, shape) for name, shape in head_config.param_shapes().items()
-        }
-        xs = [
-            ad.placeholder(f"x_{k}", (batch_size, head_config.d_in))
-            for k in range(agg_config.t)
-        ]
-        affect_nodes = []
-        for x in xs:
-            out, _ = head.head_nodes(head_config, x, params=head_leaves)
-            affect_nodes.append(ad.concat([out.va, out.expr, out.au], axis=1))
-        _, _, self.u = agg.forward_nodes(agg_config, batch_size, frame_nodes=affect_nodes)
-        labels = ad.placeholder("labels", (batch_size, agg_config.n_out))
-        guards = None
-        if loss_kind == "pearson":
-            guards = (
-                ad.placeholder("rho_bump", (agg_config.n_out,)),
-                ad.placeholder("rho_keep", (agg_config.n_out,)),
-            )
-        self.graph = ad.Graph(agg.loss_node(self.u, labels, loss_kind, guard_nodes=guards))
-
-    def step(self, params, opt_state, frames, lengths, labels, lr):
-        from .optim import adam_step
-
-        bindings = dict(params)
-        for k in range(self.agg_config.t):
-            bindings[f"x_{k}"] = frames[:, k, :]
-        if self.agg_config.mask_enabled:
-            bindings["mask"] = agg.length_mask(lengths, self.agg_config.t, self.agg_config.d_hidden)
-        bindings["labels"] = labels
-        bindings["rho_bump"], bindings["rho_keep"] = agg.column_guards(labels)
-        value = float(self.graph.evaluate(bindings))
-        if not np.isfinite(value):
-            raise ad.GraphError("non-finite loss")
-        grads = self.graph.backward()
-        new_params, new_state = adam_step(params, grads, opt_state, lr)
-        return new_params, new_state, value
+        super().__init__(agg_config, batch_size, loss_kind, head_config=head_config)
 
 
 def train_joint(train_samples, val_samples, head_config, agg_config, *, epochs, batch_size,
@@ -196,48 +184,16 @@ def train_joint(train_samples, val_samples, head_config, agg_config, *, epochs, 
     """End-to-end fine-tune; parameters of both stages in one dict."""
     params = dict(init_head if init_head is not None else head.init_head_params(head_config, seed))
     params.update(init_agg if init_agg is not None else agg.init_params(agg_config, seed + 1))
-    state = adam_init(params)
-    rng = np.random.default_rng(seed)
-    frames, lengths, labels = video_arrays(train_samples)
-    runners = {}
-    min_size = 2 if loss_kind == "pearson" else 1
 
-    def split_params(p):
-        head_names = set(head_config.param_shapes())
-        return (
-            {k: v for k, v in p.items() if k in head_names},
-            {k: v for k, v in p.items() if k not in head_names},
-        )
+    def predict(samples, p):
+        hp, ap = split_joint_params(p, head_config)
+        return joint_predict(samples, hp, head_config, ap, agg_config)
 
-    def val_metric(p):
-        if len(val_samples) >= 2:
-            hp, ap = split_params(p)
-            preds = joint_predict(val_samples, hp, head_config, ap, agg_config)
-            return mean_correlation(preds, np.asarray([s.label for s in val_samples]))
-        return float("nan")
-
-    best = TrainOutcome(params=_copy_params(params), best_epoch=0, best_metric=val_metric(params))
-    history = []
-    for epoch in range(1, epochs + 1):
-        losses = []
-        for idx in _epoch_batches(len(frames), batch_size, rng, min_size):
-            n = len(idx)
-            if n not in runners:
-                runners[n] = JointRunner(head_config, agg_config, n, loss_kind)
-            params, state, value = runners[n].step(
-                params, state, frames[idx], lengths[idx], labels[idx], lr
-            )
-            losses.append(value)
-        metric = val_metric(params)
-        history.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_mean_rho": metric,
-        })
-        if np.isnan(metric) or metric > best.best_metric:
-            best = TrainOutcome(params=_copy_params(params), best_epoch=epoch, best_metric=metric)
-    best.history = history
-    return best
+    return _fit_videos(
+        params, train_samples, val_samples,
+        lambda n: JointRunner(head_config, agg_config, n, loss_kind), predict,
+        epochs=epochs, batch_size=batch_size, lr=lr, loss_kind=loss_kind, seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -48,4 +50,24 @@ def test_shape_mismatch_raises(tmp_path):
     blob = path.read_text().replace('"shape": [2, 2]', '"shape": [2, 3]')
     path.write_text(blob)
     with pytest.raises(CheckpointError, match="does not match shape"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop", [
+    (), ("kind",), ("params",), ("params", "w", "shape"), ("params", "w", "data"),
+])
+def test_malformed_document_names_field(tmp_path, drop):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, {"w": np.zeros((2, 2))}, {}, "head")
+    blob = json.loads(path.read_text())
+    if drop:  # delete the field at this key path
+        owner = blob
+        for key in drop[:-1]:
+            owner = owner[key]
+        del owner[drop[-1]]
+        expected = f"lacks field '{drop[-1]}'"
+    else:  # a JSON value that is not an object
+        blob, expected = [blob], "not a JSON object"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(CheckpointError, match=expected):
         load_checkpoint(path)

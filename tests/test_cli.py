@@ -333,3 +333,42 @@ def test_ablate_parallel_matches_serial(tmp_path, monkeypatch):
         assert code == 0
         outs[tag] = (out / "ablation.csv").read_bytes()
     assert outs["serial"] == outs["parallel"]
+
+
+def test_eval_empty_split_exits_2(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=21, n=16)
+    out = tmp_path / "run"
+    assert run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "0", "--seed", "21", "--out", str(out),
+    ) == 0
+    capsys.readouterr()
+    code = run(
+        "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--checkpoint", str(out / "checkpoint.json"),
+        "--split", "test", "--fractions", "0.7,0.3,0.0", "--out", str(tmp_path / "e"),
+    )
+    assert code == 2
+    assert "test split is empty" in capsys.readouterr().err
+
+
+def test_frozen_train_empty_train_split_exits_2(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=22, n=8)
+    code = run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--fractions", "0,1,0",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert "train split is empty" in capsys.readouterr().err
+
+
+def test_ablate_non_integer_threads_exits_2(tmp_path, monkeypatch, capsys):
+    data_path = gen_videos(tmp_path, seed=23, n=8)
+    monkeypatch.setenv("AFFECTSEQ_THREADS", "abc")
+    code = run(
+        "ablate", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "ab"),
+    )
+    assert code == 2
+    assert "AFFECTSEQ_THREADS" in capsys.readouterr().err

@@ -10,7 +10,9 @@ from affectseq.data import (
     gen_frame_dataset,
     gen_video_dataset,
     split,
+    video_arrays,
 )
+from affectseq.optim import adam_init
 
 AGG = agg.AggregatorConfig(d_in=26, t=12, d_hidden=8, d_ff=4)
 
@@ -117,6 +119,76 @@ def test_train_joint_updates_both_stages():
     head_names = set(head_config.param_shapes())
     agg_names = set(agg_config.param_shapes())
     assert head_names <= set(outcome.params) and agg_names <= set(outcome.params)
+
+
+def _stub_fit(metrics, epochs, higher_is_better=True):
+    """fit over 5 examples whose step adds 1 to "w" and validates by
+    reading the next value of `metrics` (epoch 0 first)."""
+    values = iter(metrics)
+
+    def step(p, state, idx):
+        return {"w": p["w"] + 1.0}, state, float(len(idx))
+
+    return training.fit(
+        {"w": np.zeros(2)}, 5, step, lambda p: next(values),
+        epochs=epochs, batch_size=2, seed=0, min_size=1,
+        metric_key="m", higher_is_better=higher_is_better,
+    )
+
+
+def test_fit_earlier_epoch_wins_ties():
+    outcome = _stub_fit([0.1, 0.5, 0.5, 0.2], epochs=3)
+    assert outcome.best_epoch == 1 and outcome.best_metric == 0.5
+    np.testing.assert_array_equal(outcome.params["w"], np.full(2, 3.0))  # 3 steps/epoch
+    assert [row["m"] for row in outcome.history] == [0.5, 0.5, 0.2]
+    assert outcome.history[0] == {"epoch": 1, "train_loss": 5.0 / 3.0, "m": 0.5}
+
+
+def test_fit_nan_metric_replaces_best():
+    outcome = _stub_fit([0.1, 0.5, float("nan"), 0.9], epochs=3)
+    assert outcome.best_epoch == 2 and np.isnan(outcome.best_metric)
+
+
+def test_fit_lower_is_better_tracks_minimum():
+    outcome = _stub_fit([0.5, 0.4, 0.1, 0.3], epochs=3, higher_is_better=False)
+    assert outcome.best_epoch == 2 and outcome.best_metric == 0.1
+    np.testing.assert_array_equal(outcome.params["w"], np.full(2, 6.0))
+
+
+def test_fit_zero_epochs_returns_initial_params():
+    outcome = _stub_fit([0.3], epochs=0)
+    assert outcome.history == [] and outcome.best_epoch == 0 and outcome.best_metric == 0.3
+    np.testing.assert_array_equal(outcome.params["w"], np.zeros(2))
+
+
+def _joint_setup(seed, n=4):
+    recipe = VideoRecipe(l_min=2, l_max=6, feature_kind="descriptor", d_in=10)
+    samples, _ = gen_video_dataset(seed, n, recipe, t=6)
+    head_config = head.HeadConfig(d_in=10, width=8, n_blocks=1)
+    agg_config = agg.AggregatorConfig(d_in=26, t=6, d_hidden=4, d_ff=3)
+    params = head.init_head_params(head_config, seed=seed + 1)
+    params.update(agg.init_params(agg_config, seed=seed + 2))
+    return samples, head_config, agg_config, params
+
+
+def test_joint_runner_forward_matches_joint_forward():
+    samples, head_config, agg_config, params = _joint_setup(seed=15)
+    frames, lengths, _ = video_arrays(samples)
+    runner = training.JointRunner(head_config, agg_config, len(samples), None)
+    batch_u = runner.forward(params, frames, lengths)
+    hp, ap = training.split_joint_params(params, head_config)
+    for i, s in enumerate(samples):
+        twin = training.joint_forward(s.frames, s.length, hp, head_config, ap, agg_config)
+        np.testing.assert_allclose(batch_u[i], twin, atol=1e-12)
+
+
+def test_joint_runner_step_rejects_aggregator_width_frames():
+    samples, head_config, agg_config, params = _joint_setup(seed=16)
+    _, lengths, labels = video_arrays(samples)
+    runner = training.JointRunner(head_config, agg_config, len(samples), "pearson")
+    affect = np.zeros((len(samples), agg_config.t, agg_config.d_in))
+    with pytest.raises(ValueError, match="frames shape"):
+        runner.step(params, adam_init(params), affect, lengths, labels, 1e-3)
 
 
 def test_curve_files(tmp_path):
