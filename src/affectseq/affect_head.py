@@ -101,15 +101,12 @@ def head_forward(features, params, config):
     return AffectOutput(va=va, expr=expr, au=au)
 
 
-def head_nodes(config, features, params=None):
-    """Differentiable twin of head_forward over a features node.
+def head_nodes(config, features):
+    """Differentiable twin of head_forward over a (rows, d_in) features node.
 
-    Returns (AffectOutput of nodes, param-leaf dict). Param leaves are
-    created on demand so several head instances can share one graph.
+    Returns (AffectOutput of nodes, param-leaf dict).
     """
-    p = params if params is not None else {
-        name: ad.param(name, shape) for name, shape in config.param_shapes().items()
-    }
+    p = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
     h = ad.tanh(ad.affine(features, p["trunk.in.w"], p["trunk.in.b"]))
     for i in range(config.n_blocks):
         h = ad.add(h, ad.tanh(ad.affine(h, p[f"trunk.block{i}.w"], p[f"trunk.block{i}.b"])))

@@ -5,6 +5,12 @@ concatenated into one video-level embedding, whose coordinates beyond
 the video's true pre-padding length are zeroed by the mask layer before
 two feed-forward layers produce the 7 intensity outputs.
 
+In the batched graph each GRU layer is one fused `autodiff.gru` node
+over a (batch, t*d) frames placeholder; with masking on it stops after
+the batch's longest true length. The numeric twin `gru_forward` runs
+the same kernel on a batch of one, and `gru_chain_nodes`, the unrolled
+composition, remains only as the oracle the fused op is tested against.
+
 Because the masked coordinates are exactly zero, the first feed-forward
 layer's weights attached to those positions receive exactly-zero
 gradients: selective weight updating falls out of the arithmetic rather
@@ -60,29 +66,16 @@ def init_params(config, seed):
     return params
 
 
-def gru_forward(frames, params, prefix="gru0", h0=None):
+def gru_forward(frames, params, prefix="gru0"):
     """Run the GRU over a (t, d) sequence; returns all hidden states (t, d').
 
-    Recurrence per step, with update gate u, reset gate r, candidate c:
-        u_k = sigmoid(x_k Wz + h Uz + bz)
-        r_k = sigmoid(x_k Wr + h Ur + br)
-        c_k = tanh(x_k Wh + (r_k * h) Uh + bh)
-        h_k = (1 - u_k) * h + u_k * c_k
+    The recurrence is autodiff.np_gru's, run on a batch of one.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    wz, uz, bz = (params[f"{prefix}.{n}z"] for n in ("w", "u", "b"))
-    wr, ur, br = (params[f"{prefix}.{n}r"] for n in ("w", "u", "b"))
-    wh, uh, bh = (params[f"{prefix}.{n}h"] for n in ("w", "u", "b"))
-    d_hidden = wz.shape[1]
-    h = np.zeros(d_hidden) if h0 is None else np.asarray(h0, dtype=np.float64)
-    out = np.empty((frames.shape[0], d_hidden))
-    for k, x in enumerate(frames):
-        u = ad.np_sigmoid(x @ wz + h @ uz + bz)
-        r = ad.np_sigmoid(x @ wr + h @ ur + br)
-        c = np.tanh(x @ wh + (r * h) @ uh + bh)
-        h = (1.0 - u) * h + u * c
-        out[k] = h
-    return out
+    t = frames.shape[0]
+    weights = [params[f"{prefix}.{role}"] for role in ad.GRU_WEIGHTS]
+    out, _ = ad.np_gru(frames.reshape(1, -1), weights, t, name=prefix)
+    return out.reshape(t, -1)
 
 
 def mask_by_length(z, length, d_hidden):
@@ -133,7 +126,11 @@ def video_forward(frames, length, params, config):
 
 
 def gru_chain_nodes(params, layer, inputs, batch_size, d_hidden):
-    """Unrolled GRU over a list of (batch, d) nodes; returns all h nodes."""
+    """Unrolled GRU over a list of (batch, d) nodes; returns all h nodes.
+
+    The step-by-step composition of the fused `gru` op, kept as the
+    oracle its forward values and gradients are tested against.
+    """
     wz, uz, bz = (params[f"gru{layer}.{n}z"] for n in ("w", "u", "b"))
     wr, ur, br = (params[f"gru{layer}.{n}r"] for n in ("w", "u", "b"))
     wh, uh, bh = (params[f"gru{layer}.{n}h"] for n in ("w", "u", "b"))
@@ -149,28 +146,32 @@ def gru_chain_nodes(params, layer, inputs, batch_size, d_hidden):
     return out
 
 
-def forward_nodes(config, batch_size, frame_nodes=None):
-    """Batched forward graph; returns (param leaves, frame nodes, u node).
+def forward_nodes(config, batch_size, frames=None):
+    """Batched forward graph; returns (param leaves, frames node, u node).
 
-    When `frame_nodes` is omitted, per-step placeholders x_0..x_{t-1}
-    are created, plus a "mask" placeholder when masking is enabled, so
-    one graph serves every batch of the same size.
+    `frames` is a (batch, t*d_in) node, row-major over (step, feature);
+    when omitted, a "frames" placeholder is created, plus a "mask"
+    placeholder when masking is enabled, so one graph serves every
+    batch of the same size. Each GRU layer is one fused `gru` node that
+    stops after the batch's longest kept step.
     """
     params = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
-    xs = frame_nodes
-    if xs is None:
-        xs = [ad.placeholder(f"x_{k}", (batch_size, config.d_in)) for k in range(config.t)]
-    seq = xs
-    for layer in range(config.gru_layers):
-        seq = gru_chain_nodes(params, layer, seq, batch_size, config.d_hidden)
-    z = ad.concat(seq, axis=1)
+    if frames is None:
+        frames = ad.placeholder("frames", (batch_size, config.t * config.d_in))
+    mask = None
     if config.mask_enabled:
-        z = ad.mul(z, ad.placeholder("mask", (batch_size, config.t * config.d_hidden)))
+        mask = ad.placeholder("mask", (batch_size, config.t * config.d_hidden))
+    z = frames
+    for layer in range(config.gru_layers):
+        weights = [params[f"gru{layer}.{role}"] for role in ad.GRU_WEIGHTS]
+        z = ad.gru(z, weights, config.t, config.d_hidden, mask=mask, name=f"gru{layer}")
+    if mask is not None:
+        z = ad.mul(z, mask)
     z3 = ad.tanh(ad.affine(z, params["ff1.w"], params["ff1.b"]))
     u = ad.affine(z3, params["out.w"], params["out.b"])
     if config.sigmoid_output:
         u = ad.sigmoid(u)
-    return params, xs, u
+    return params, frames, u
 
 
 def pearson_loss_node(preds, labels, guard_nodes=None):
@@ -261,8 +262,7 @@ def batch_bindings(config, params, frames, lengths, labels=None, d_frame=None):
     if frames.shape != (n, config.t, d):
         raise ValueError(f"frames shape {frames.shape}, expected (n, {config.t}, {d})")
     bindings = dict(params)
-    for k in range(config.t):
-        bindings[f"x_{k}"] = frames[:, k, :]
+    bindings["frames"] = frames.reshape(n, config.t * d)
     if config.mask_enabled:
         bindings["mask"] = length_mask(lengths, config.t, config.d_hidden)
     if labels is not None:
@@ -275,10 +275,10 @@ def batch_bindings(config, params, frames, lengths, labels=None, d_frame=None):
 class BatchRunner:
     """Reusable graphs for one (config, batch size): forward and loss.
 
-    With a `head_config`, each frame placeholder x_k of width
-    head_config.d_in first passes through a copy of the multi-task head;
-    all copies share one set of head parameter leaves, so the graph
-    trains head and aggregator jointly.
+    With a `head_config`, the multi-task head runs once over all
+    batch*t frames of width head_config.d_in, and its 26-wide outputs
+    are reshaped back into the (batch, t*26) sequence the aggregator
+    reads, so the graph trains head and aggregator jointly.
     """
 
     def __init__(self, config, batch_size, loss_kind=None, head_config=None):
@@ -286,19 +286,17 @@ class BatchRunner:
         self.batch_size = batch_size
         self.loss_kind = loss_kind
         self.d_frame = config.d_in
-        frame_nodes = None
+        seq = None
         if head_config is not None:
             self.d_frame = head_config.d_in
-            leaves = {
-                name: ad.param(name, shape) for name, shape in head_config.param_shapes().items()
-            }
-            frame_nodes = []
-            for k in range(config.t):
-                x = ad.placeholder(f"x_{k}", (batch_size, head_config.d_in))
-                out, _ = head_nodes(head_config, x, params=leaves)
-                frame_nodes.append(ad.concat([out.va, out.expr, out.au], axis=1))
-        _, _, self.u = forward_nodes(config, batch_size, frame_nodes)
-        root = self.u
+            frames = ad.placeholder("frames", (batch_size, config.t * head_config.d_in))
+            rows = ad.reshape(frames, (batch_size * config.t, head_config.d_in))
+            out, _ = head_nodes(head_config, rows)
+            affect = ad.concat([out.va, out.expr, out.au], axis=1)
+            seq = ad.reshape(affect, (batch_size, config.t * config.d_in))
+        _, _, self.u = forward_nodes(config, batch_size, seq)
+        self.forward_graph = ad.Graph(self.u)
+        self.graph = self.forward_graph
         if loss_kind is not None:
             labels = ad.placeholder("labels", (batch_size, config.n_out))
             guards = None
@@ -307,15 +305,11 @@ class BatchRunner:
                     ad.placeholder("rho_bump", (config.n_out,)),
                     ad.placeholder("rho_keep", (config.n_out,)),
                 )
-            root = loss_node(self.u, labels, loss_kind, guard_nodes=guards)
-        self.graph = ad.Graph(root)
+            self.graph = ad.Graph(loss_node(self.u, labels, loss_kind, guard_nodes=guards))
 
     def forward(self, params, frames, lengths):
         bindings = batch_bindings(self.config, params, frames, lengths, d_frame=self.d_frame)
-        if self.loss_kind is None:
-            return self.graph.evaluate(bindings)
-        self.graph.evaluate(bindings)
-        return self.graph.cached_value(self.u)
+        return self.forward_graph.evaluate(bindings)
 
     def step(self, params, opt_state, frames, lengths, labels, lr):
         """One Adam step; returns (params, opt_state, loss value)."""

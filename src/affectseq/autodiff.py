@@ -7,6 +7,17 @@ The primitive set is closed; every layer and loss in this package is a
 composition of the primitives below, so each backward rule stays small
 enough to verify by finite differences.
 
+Besides elementwise, matmul, reduction, concat and mask primitives the
+set holds `reshape` (a row-major view, for running one layer over all
+frames of a batch at once) and `gru`, a whole GRU layer over t steps
+with a hand-written backpropagation-through-time rule. The unrolled
+step-by-step composition (`aggregator.gru_chain_nodes`) is its oracle.
+
+A node's forward rule may also return saved state, which the engine
+keeps per node for the current evaluate call and hands to the backward
+rule: `gru` saves its gates and hidden states instead of recomputing
+them. Values and saved state both live on the Graph, never on a Node.
+
 Cycles cannot be constructed: a node's parents are fixed at creation,
 so every expression is a DAG by construction.
 """
@@ -227,13 +238,56 @@ def affine(x, w, b):
     return add(matmul(x, w), b)
 
 
+def reshape(a, shape):
+    """Same entries in row-major order under a new shape."""
+    a = _lift(a)
+    shape = _as_shape(shape)
+    if int(np.prod(shape)) != int(np.prod(a.shape)):
+        raise GraphError(f"reshape: cannot view {a.shape} of {a.name} as {shape}")
+    return Node("reshape", shape, (a,))
+
+
+# parameter roles of one GRU layer, in the order the gru node takes them
+GRU_WEIGHTS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+
+
+def gru(x, weights, t, d_hidden, mask=None, name=None):
+    """One GRU layer over t steps: (b, t*d) frames to (b, t*d_hidden) states.
+
+    `weights` holds the layer's nine nodes in GRU_WEIGHTS order. With a
+    0/1 `mask` node of the output's shape, the recurrence stops after the
+    last step any row keeps; later output columns are exactly zero.
+    """
+    x = _lift(x)
+    if len(x.shape) != 2 or x.shape[1] % t:
+        raise GraphError(f"gru: input {x.shape} of {x.name} is not (b, t*d) for t={t}")
+    if len(weights) != len(GRU_WEIGHTS):
+        raise GraphError(f"gru: {len(weights)} weights, expected {len(GRU_WEIGHTS)}")
+    d = x.shape[1] // t
+    expected = {"w": (d, d_hidden), "u": (d_hidden, d_hidden), "b": (d_hidden,)}
+    parents = [x]
+    for role, w in zip(GRU_WEIGHTS, weights):
+        w = _lift(w)
+        if w.shape != expected[role[0]]:
+            raise GraphError(f"gru: {role} {w.name} has shape {w.shape}, "
+                             f"expected {expected[role[0]]}")
+        parents.append(w)
+    shape = (x.shape[0], t * d_hidden)
+    if mask is not None:
+        mask = _lift(mask)
+        if mask.shape != shape:
+            raise GraphError(f"gru: mask {mask.shape} does not fit {shape}")
+        parents.append(mask)
+    return Node("gru", shape, parents, name=name, t=int(t))
+
+
 # ---------------------------------------------------------------------------
 # forward rules
 
 
-def np_sigmoid(x):
+def np_sigmoid(x, out=None):
     """Logistic function of an array; the one numeric sigmoid in the package."""
-    return 1.0 / (1.0 + np.exp(-x))
+    return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
 def np_softmax(x):
@@ -242,6 +296,109 @@ def np_softmax(x):
     z = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def np_gru(x, weights, t, steps=None, name="gru"):
+    """GRU over a (b, t*d) batch; the one numeric GRU in the package.
+
+    `weights` holds the arrays in GRU_WEIGHTS order. Per step k, with
+    update gate u, reset gate r and candidate c:
+        u = sigmoid((x_k Wz + h Uz) + bz)
+        r = sigmoid((x_k Wr + h Ur) + br)
+        c = tanh((x_k Wh + (r * h) Uh) + bh)
+        h = (1 - u) * h + u * c
+    The input projections x_k W of every step are computed ahead of the
+    loop (Appleyard et al. 2016), one stacked matmul per gate: it makes
+    the same BLAS call per step as a per-step product, so results are
+    bit-identical to the unrolled graph and, at b=1, to a vector
+    recurrence. Only the first `steps` steps run (all t by default);
+    the states of later steps are exactly zero. Since sigmoid and tanh
+    hide an overflowed pre-activation, all three are checked once after
+    the loop. Returns ((b, t*H) states, state saved for np_gru_backward).
+    """
+    wz, uz, bz, wr, ur, br, wh, uh, bh = weights
+    b, hid = x.shape[0], uz.shape[0]
+    d = x.shape[1] // t
+    n = t if steps is None else steps
+    xs = np.ascontiguousarray(x.reshape(b, t, d)[:, :n].transpose(1, 0, 2))  # (n, b, d)
+    pre = np.empty((3, n, b, hid))  # pre-activations of u, r, c
+    for i, w in enumerate((wz, wr, wh)):
+        np.matmul(xs, w, out=pre[i])
+    gates = np.empty((2, n, b, hid))  # u, r
+    cand = np.empty((n, b, hid))
+    rh = np.empty((n, b, hid))
+    hs = np.zeros((n + 1, b, hid))  # hs[k] is the state entering step k
+    for k in range(n):
+        h = hs[k]
+        pre[0, k] += h @ uz
+        pre[0, k] += bz
+        pre[1, k] += h @ ur
+        pre[1, k] += br
+        u, r = np_sigmoid(pre[:2, k], out=gates[:, k])
+        np.multiply(r, h, out=rh[k])
+        pre[2, k] += rh[k] @ uh
+        pre[2, k] += bh
+        c = np.tanh(pre[2, k], out=cand[k])
+        hs[k + 1] = (1.0 - u) * h + u * c
+    bad = ~np.isfinite(pre).all(axis=(0, 2, 3))
+    if bad.any():
+        raise GraphError(f"non-finite pre-activation in {name} step {int(np.argmax(bad))}")
+    out = np.zeros((b, t, hid))
+    out[:, :n] = hs[1:].transpose(1, 0, 2)
+    return out.reshape(b, t * hid), (xs, hs, gates, cand, rh)
+
+
+def np_gru_backward(g, weights, t, saved):
+    """Backpropagation through time for np_gru; gradients in the order
+    (x, *GRU_WEIGHTS). Only the steps the forward ran carry gradient."""
+    xs, hs, gates, cand, rh = saved
+    wz, uz, _, wr, ur, _, wh, uh, _ = weights
+    n, b, d = xs.shape
+    hid = uz.shape[0]
+    gs = g.reshape(b, t, hid)[:, :n].transpose(1, 0, 2)
+    da = np.empty((n, b, 3 * hid))  # pre-activation gradients, u | r | c
+    dh = np.zeros((b, hid))
+    u_zr = np.concatenate([uz, ur], axis=1)
+    for k in range(n - 1, -1, -1):
+        dh = dh + gs[k]
+        hp, u, r, c = hs[k], gates[0, k], gates[1, k], cand[k]
+        du, dr, dc = da[k, :, :hid], da[k, :, hid:2 * hid], da[k, :, 2 * hid:]
+        np.multiply(dh * (c - hp), u * (1.0 - u), out=du)
+        np.multiply(dh * u, 1.0 - c * c, out=dc)
+        drh = dc @ uh.T
+        np.multiply(drh * hp, r * (1.0 - r), out=dr)
+        dh = dh * (1.0 - u) + drh * r + da[k, :, :2 * hid] @ u_zr.T
+    flat = da.reshape(n * b, 3 * hid)
+    dw = xs.reshape(n * b, d).T @ flat
+    du_zr = hs[:n].reshape(n * b, hid).T @ flat[:, :2 * hid]
+    duh = rh.reshape(n * b, hid).T @ flat[:, 2 * hid:]
+    db = flat.sum(axis=0)
+    dx = np.zeros((b, t, d))
+    dx[:, :n] = (flat @ np.concatenate([wz, wr, wh], axis=1).T).reshape(n, b, d).transpose(1, 0, 2)
+    gz, gr, gc = slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, None)
+    return (dx.reshape(b, t * d), dw[:, gz], du_zr[:, gz], db[gz], dw[:, gr], du_zr[:, gr], db[gr],
+            dw[:, gc], duh, db[gc])
+
+
+def _kept_steps(mask, t):
+    """Number of leading steps up to the last one any row of a 0/1
+    (b, t*H) mask keeps."""
+    kept = np.flatnonzero(mask.reshape(mask.shape[0], t, -1).any(axis=(0, 2)))
+    return int(kept[-1]) + 1 if kept.size else 0
+
+
+def _fw_gru(node, x, *rest):
+    weights, mask = rest[:len(GRU_WEIGHTS)], rest[len(GRU_WEIGHTS):]
+    t = node.attrs["t"]
+    steps = _kept_steps(mask[0], t) if mask else None
+    return np_gru(x, weights, t, steps, node.name)
+
+
+def _bw_gru(node, g, x, *rest):
+    # rest: the weights, the mask if any, then the saved state
+    weights, mask = rest[:len(GRU_WEIGHTS)], rest[len(GRU_WEIGHTS):-1]
+    grads = np_gru_backward(g, weights, node.attrs["t"], rest[-1])
+    return grads + (None,) if mask else grads  # a fixed 0/1 mask has no gradient
 
 
 def _fw_log(node, x):
@@ -275,7 +432,13 @@ _FORWARD = {
     ),
     "concat": lambda n, *parts: np.concatenate(parts, axis=n.attrs["axis"]),
     "mask": lambda n, a: a * n.attrs["mask"],
+    "reshape": lambda n, a: a.reshape(n.shape),
+    "gru": _fw_gru,
 }
+
+# ops whose forward rule returns (value, saved state); the engine keeps
+# the state per node and hands it to the backward rule as the last operand
+_SAVES_STATE = {"gru"}
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +543,8 @@ _BACKWARD = {
     "covariance": _bw_covariance,
     "concat": _bw_concat,
     "mask": lambda n, g, a: (g * n.attrs["mask"],),
+    "reshape": lambda n, g, a: (g.reshape(a.shape),),
+    "gru": _bw_gru,
 }
 
 # ops whose backward rule reads the cached output, not just the inputs
@@ -424,6 +589,7 @@ class Graph:
         for p in extra_params:
             self.params.setdefault(p.name, p)
         self._values = None
+        self._saved = None
 
     def evaluate(self, bindings):
         """Run the forward pass; returns the root value.
@@ -432,7 +598,7 @@ class Graph:
         declared shape (extra keys are ignored). Intermediate values are
         cached for backward.
         """
-        values = {}
+        values, saved = {}, {}
         for node in self.order:
             if node.op == "const":
                 v = node.attrs["value"]
@@ -449,6 +615,8 @@ class Graph:
                 args = [values[id(p)] for p in node.parents]
                 with np.errstate(all="ignore"):
                     v = _FORWARD[node.op](node, *args)
+                if node.op in _SAVES_STATE:
+                    v, saved[id(node)] = v
                 bad = ~np.isfinite(np.asarray(v))
                 if bad.any():
                     idx = int(np.flatnonzero(bad.ravel())[0])
@@ -456,7 +624,7 @@ class Graph:
                         f"non-finite value in node '{node.name}' at flat index {idx}"
                     )
             values[id(node)] = v
-        self._values = values
+        self._values, self._saved = values, saved
         return values[id(self.root)]
 
     def cached_value(self, node):
@@ -486,8 +654,12 @@ class Graph:
             args = [values[id(p)] for p in node.parents]
             if node.op in _NEEDS_OUTPUT:
                 args.append(values[id(node)])
+            if node.op in _SAVES_STATE:
+                args.append(self._saved[id(node)])
             parent_grads = _BACKWARD[node.op](node, g, *args)
             for p, pg in zip(node.parents, parent_grads):
+                if pg is None:  # operand without a gradient
+                    continue
                 key = id(p)
                 if key in grads:
                     grads[key] = grads[key] + pg

@@ -69,9 +69,26 @@ def load_checkpoint(path):
     params = {}
     for name, entry in entries.items():
         at = f"{where}: parameter {name!r}"
-        shape = tuple(_field(entry, "shape", at))
-        data = np.asarray(_field(entry, "data", at), dtype=np.float64)
+        shape = _field(entry, "shape", at)
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+            raise CheckpointError(f"{at}: field 'shape' is not a list of non-negative integers")
+        shape = tuple(shape)
+        data = _param_data(_field(entry, "data", at), at)
         if data.size != int(np.prod(shape)):
             raise CheckpointError(f"parameter {name!r}: data does not match shape {shape}")
         params[name] = data.reshape(shape)
     return Checkpoint(kind=kind, config=config, params=params)
+
+
+def _param_data(raw, at):
+    """A flat list of finite JSON numbers as a float64 array."""
+    try:
+        data = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        data = None
+    if data is None or data.ndim != 1 or data.dtype.kind not in "iuf":
+        raise CheckpointError(f"{at}: field 'data' is not a flat list of numbers")
+    data = data.astype(np.float64, copy=False)
+    if not np.isfinite(data).all():
+        raise CheckpointError(f"{at}: field 'data' holds a non-finite value")
+    return data

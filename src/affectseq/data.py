@@ -371,6 +371,22 @@ def _check(cond, lineno, message):
         raise DatasetError(f"line {lineno}: {message}")
 
 
+def _field(rec, key, lineno):
+    _check(isinstance(rec, dict), lineno, "record is not a JSON object")
+    _check(key in rec, lineno, f"record lacks field {key!r}")
+    return rec[key]
+
+
+def _finite_array(rec, key, lineno):
+    """A numeric record field as a float64 array; NaN and inf are rejected."""
+    try:
+        arr = np.asarray(_field(rec, key, lineno), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DatasetError(f"line {lineno}: field {key!r} is not numeric") from None
+    _check(np.all(np.isfinite(arr)), lineno, f"field {key!r} holds a non-finite value")
+    return arr
+
+
 def _validate_affect_rows(rows, lineno):
     va = rows[:, VA_SLICE]
     expr = rows[:, EXPR_SLICE]
@@ -414,9 +430,10 @@ def load_dataset(path):
 
 
 def _parse_frame(rec, manifest, lineno):
-    features = np.asarray(rec["features"], dtype=np.float64)
+    features = _finite_array(rec, "features", lineno)
     _check(features.shape == (manifest.d,), lineno, f"features shape {features.shape}")
-    labels = rec["labels"]
+    labels = _field(rec, "labels", lineno)
+    _check(isinstance(labels, dict), lineno, "field 'labels' is not a JSON object")
     va = labels.get("va")
     expr = labels.get("expr")
     au = labels.get("au")
@@ -426,25 +443,25 @@ def _parse_frame(rec, manifest, lineno):
         "sample carries no labels",
     )
     if va is not None:
-        va = np.asarray(va, dtype=np.float64)
+        va = _finite_array(labels, "va", lineno)
         _check(va.shape == (2,) and np.all(np.abs(va) <= 1.0), lineno, "bad va label")
     if expr is not None:
-        _check(0 <= int(expr) < len(EXPRESSIONS), lineno, "bad expr label")
-        expr = int(expr)
+        _check(type(expr) is int and 0 <= expr < len(EXPRESSIONS), lineno, "bad expr label")
     if au is not None:
-        au = np.asarray(au, dtype=np.float64)
+        au = _finite_array(labels, "au", lineno)
         _check(
             au.shape == (len(AU_IDS),) and set(np.unique(au)) <= {0.0, 1.0},
             lineno,
             "bad au label (need a binary 17-vector)",
         )
-    return FrameSample(id=rec["id"], features=features, va=va, expr=expr, au=au)
+    return FrameSample(id=_field(rec, "id", lineno), features=features, va=va, expr=expr, au=au)
 
 
 def _parse_video(rec, manifest, lineno):
-    frames = np.asarray(rec["frames"], dtype=np.float64)
-    length = int(rec["length"])
-    label = np.asarray(rec["label"], dtype=np.float64)
+    frames = _finite_array(rec, "frames", lineno)
+    length = _field(rec, "length", lineno)
+    _check(type(length) is int, lineno, "field 'length' is not an integer")
+    label = _finite_array(rec, "label", lineno)
     _check(frames.shape == (manifest.t, manifest.d), lineno, f"frames shape {frames.shape}")
     _check(1 <= length <= manifest.t, lineno, f"length {length} outside [1, {manifest.t}]")
     _check(
@@ -457,7 +474,7 @@ def _parse_video(rec, manifest, lineno):
         _check(np.all(frames[length:] == 0.0), lineno, "padded rows are not zero")
     if recipe.get("feature_kind", "affect") == "affect":
         _validate_affect_rows(frames[:length], lineno)
-    return VideoSample(id=rec["id"], frames=frames, length=length, label=label)
+    return VideoSample(id=_field(rec, "id", lineno), frames=frames, length=length, label=label)
 
 
 # ---------------------------------------------------------------------------

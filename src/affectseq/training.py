@@ -173,7 +173,7 @@ def split_joint_params(params, head_config):
 
 
 class JointRunner(agg.BatchRunner):
-    """Shared-parameter graph of head-per-frame plus aggregator."""
+    """Graph of the head over every frame of the batch plus aggregator."""
 
     def __init__(self, head_config, agg_config, batch_size, loss_kind):
         super().__init__(agg_config, batch_size, loss_kind, head_config=head_config)

@@ -119,10 +119,12 @@ def target_head_au(rng):
 
 def target_gru(rng):
     config = agg.AggregatorConfig(d_in=6, t=5, d_hidden=4, d_ff=3)
-    p = {k: ad.param(k, s) for k, s in config.param_shapes().items() if k.startswith("gru")}
-    xs = [ad.constant(rng.normal(size=(3, 6))) for _ in range(5)]
-    hs = agg.gru_chain_nodes(p, 0, xs, 3, 4)
-    graph = ad.Graph(_cotangent_sum(ad.concat(hs, axis=1), rng))
+    shapes = config.param_shapes()
+    weights = [ad.param(f"gru0.{role}", shapes[f"gru0.{role}"]) for role in ad.GRU_WEIGHTS]
+    # five (3, 6) frames laid out as the (3, t*d) batch the fused op reads
+    frames = np.stack([rng.normal(size=(3, 6)) for _ in range(5)], axis=1)
+    hs = ad.gru(ad.constant(frames.reshape(3, 30)), weights, 5, 4, name="gru0")
+    graph = ad.Graph(_cotangent_sum(hs, rng))
     params = {k: v for k, v in agg.init_params(config, seed=8).items() if k.startswith("gru")}
     return graph, params
 

@@ -85,6 +85,64 @@ def test_gru_graph_matches_numeric():
         np.testing.assert_allclose(stacked[b], agg.gru_forward(frames[b], params), atol=1e-13)
 
 
+def unrolled_nodes(config, batch_size):
+    """forward_nodes with every GRU layer unrolled by gru_chain_nodes: the
+    oracle of the fused graph. Frames enter as per-step leaves x_k."""
+    params = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
+    seq = [ad.param(f"x_{k}", (batch_size, config.d_in)) for k in range(config.t)]
+    for layer in range(config.gru_layers):
+        seq = agg.gru_chain_nodes(params, layer, seq, batch_size, config.d_hidden)
+    z = ad.concat(seq, axis=1)
+    if config.mask_enabled:
+        z = ad.mul(z, ad.placeholder("mask", (batch_size, config.t * config.d_hidden)))
+    z3 = ad.tanh(ad.affine(z, params["ff1.w"], params["ff1.b"]))
+    return ad.affine(z3, params["out.w"], params["out.b"])
+
+
+def _rel_error(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+@pytest.mark.parametrize("mask_enabled,gru_layers", [(True, 1), (False, 1), (True, 2), (False, 2)])
+def test_fused_gru_matches_unrolled_oracle(mask_enabled, gru_layers):
+    config = agg.AggregatorConfig(d_in=5, t=7, d_hidden=4, d_ff=3,
+                                  gru_layers=gru_layers, mask_enabled=mask_enabled)
+    rng = np.random.default_rng(30 + gru_layers)
+    params = {k: v + 0.1 * rng.normal(size=v.shape)
+              for k, v in random_params(config, seed=31).items()}
+    frames = rng.normal(size=(3, 7, 5))
+    lengths = np.array([2, 5, 4])  # longest kept step below t
+    bindings = agg.batch_bindings(config, params, frames, lengths)
+    for k in range(config.t):
+        bindings[f"x_{k}"] = frames[:, k, :]
+    cotangent = ad.constant(rng.normal(size=(3, config.n_out)))
+
+    _, _, fused_u = agg.forward_nodes(config, 3, ad.param("frames", (3, 7 * 5)))
+    oracle_u = unrolled_nodes(config, 3)
+    fused = ad.Graph(ad.reduce_sum(ad.mul(fused_u, cotangent)))
+    oracle = ad.Graph(ad.reduce_sum(ad.mul(oracle_u, cotangent)))
+    fused.evaluate(bindings)
+    oracle.evaluate(bindings)
+    np.testing.assert_array_equal(fused.cached_value(fused_u), oracle.cached_value(oracle_u))
+
+    got, want = fused.backward(), oracle.backward()
+    for name in params:
+        assert _rel_error(got[name], want[name]) < 1e-12, name
+    want_frames = np.stack([want[f"x_{k}"] for k in range(config.t)], axis=1)
+    assert _rel_error(got["frames"].reshape(3, 7, 5), want_frames) < 1e-12
+
+
+def test_loss_runner_forward_equals_forward_runner():
+    config = agg.AggregatorConfig(d_in=5, t=6, d_hidden=4, d_ff=3)
+    params = random_params(config, seed=32)
+    frames = np.random.default_rng(33).normal(size=(4, 6, 5))
+    lengths = np.array([3, 6, 1, 5])
+    plain = agg.BatchRunner(config, 4).forward(params, frames, lengths)
+    for loss_kind in ("mse", "pearson"):
+        u = agg.BatchRunner(config, 4, loss_kind).forward(params, frames, lengths)
+        np.testing.assert_array_equal(u, plain)
+
+
 # ---------------------------------------------------------------------------
 # masking
 

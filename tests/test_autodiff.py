@@ -293,3 +293,71 @@ def test_broadcast_bias_gradient_matches_fd(rows, cols, scale_):
     bindings = {"x": rng.normal(size=(rows, cols)) * scale_, "bias": rng.normal(size=(cols,)) * 0.3}
     report = ad.grad_check(g, bindings, epsilon=1e-6, n_coords=cols, seed=1)
     assert report.max_rel_error < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# reshape and the fused gru op
+
+
+def test_reshape_values_and_grad_check():
+    x = ad.param("x", (2, 6))
+    y = ad.reshape(x, (3, 4))
+    w = np.random.default_rng(3).uniform(0.5, 1.5, size=(3, 4))
+    g = ad.Graph(ad.reduce_sum(ad.mul(ad.tanh(y), ad.constant(w))))
+    value = np.random.default_rng(4).normal(size=(2, 6))
+    g.evaluate({"x": value})
+    np.testing.assert_array_equal(g.cached_value(y), value.reshape(3, 4))
+    report = ad.grad_check(g, {"x": value}, n_coords=12)
+    assert report.max_rel_error < 1e-7, report.per_param_max()
+
+
+def test_reshape_rejects_size_change():
+    with pytest.raises(ad.GraphError, match="reshape"):
+        ad.reshape(ad.param("x", (2, 6)), (5, 2))
+
+
+def _gru_weights(rng, d, hid, scale=0.5):
+    """Bindings for one GRU layer, keyed by role in GRU_WEIGHTS order."""
+    shapes = {"w": (d, hid), "u": (hid, hid), "b": (hid,)}
+    return {role: rng.normal(size=shapes[role[0]]) * scale for role in ad.GRU_WEIGHTS}
+
+
+def _gru_leaves(bindings):
+    return [ad.param(role, value.shape) for role, value in bindings.items()]
+
+
+def test_gru_rejects_mismatched_weights():
+    weights = list(_gru_weights(np.random.default_rng(5), 3, 2).values())
+    weights[7] = np.zeros((3, 2))  # uh must be (2, 2)
+    with pytest.raises(ad.GraphError, match="uh"):
+        ad.gru(ad.param("x", (2, 12)), weights, 4, 2)
+
+
+def test_gru_columns_past_longest_kept_step_are_zero():
+    rng = np.random.default_rng(6)
+    t, d, hid = 6, 3, 2
+    bindings = _gru_weights(rng, d, hid)
+    mask = np.zeros((2, t * hid))
+    mask[0, :2 * hid] = 1.0
+    mask[1, :4 * hid] = 1.0  # longest kept step: 4 of 6
+    out = ad.gru(ad.constant(rng.normal(size=(2, t * d))), _gru_leaves(bindings), t, hid,
+                 mask=ad.constant(mask))
+    g = ad.Graph(ad.reduce_sum(out))
+    g.evaluate(bindings)
+    states = g.cached_value(out)
+    assert np.all(states[:, 4 * hid:] == 0.0)
+    assert np.all(states[:, :4 * hid] != 0.0)
+
+
+def test_gru_overflowing_preactivation_names_node_and_step():
+    # sigmoid(inf) is a finite 1, so only the pre-activation check sees it
+    rng = np.random.default_rng(7)
+    t, d, hid = 5, 3, 2
+    weights = _gru_weights(rng, d, hid)
+    weights["wz"] = np.full((d, hid), 1e308)
+    frames = np.zeros((2, t, d))
+    frames[:, 3:] = 1.0  # x @ wz is 0 before step 3, inf from step 3 on
+    out = ad.gru(ad.constant(frames.reshape(2, t * d)), _gru_leaves(weights), t, hid,
+                 name="gru0")
+    with pytest.raises(ad.GraphError, match="gru0 step 3"):
+        ad.Graph(ad.reduce_sum(out)).evaluate(weights)

@@ -55,12 +55,19 @@ def test_shape_mismatch_raises(tmp_path):
 
 @pytest.mark.parametrize("drop", [
     (), ("kind",), ("params",), ("params", "w", "shape"), ("params", "w", "data"),
+    # parameter field plus a value: the field is present but malformed
+    ("params", "w", "data", ["a", "b", "c", "d"]),
+    ("params", "w", "shape", "2x2"),
+    ("params", "w", "data", [0.0, float("nan"), 0.0, 0.0]),
 ])
 def test_malformed_document_names_field(tmp_path, drop):
     path = tmp_path / "ck.json"
     save_checkpoint(path, {"w": np.zeros((2, 2))}, {}, "head")
     blob = json.loads(path.read_text())
-    if drop:  # delete the field at this key path
+    if len(drop) == 4:  # replace the parameter field's value
+        blob["params"]["w"][drop[2]] = drop[3]
+        expected = f"parameter 'w': field '{drop[2]}'"
+    elif drop:  # delete the field at this key path
         owner = blob
         for key in drop[:-1]:
             owner = owner[key]

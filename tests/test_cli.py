@@ -372,3 +372,64 @@ def test_ablate_non_integer_threads_exits_2(tmp_path, monkeypatch, capsys):
     )
     assert code == 2
     assert "AFFECTSEQ_THREADS" in capsys.readouterr().err
+
+
+def _rewrite_first_record(path, edit):
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    edit(record)
+    lines[0] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_video_record_missing_label_exits_3(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=24, n=8)
+    _rewrite_first_record(data_path, lambda r: r.pop("label"))
+    code = run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "line 1" in err and "'label'" in err and len(err.strip().splitlines()) == 1
+
+
+def test_descriptor_video_with_nan_exits_3(tmp_path, capsys):
+    out = tmp_path / "desc"
+    assert run(
+        "gen", "--n", "8", "--seed", "25", "--out", str(out), "--t", "8",
+        "--l-min", "2", "--l-max", "8", "--feature-kind", "descriptor", "--d-in", "8",
+    ) == 0
+    data_path = out / "videos.jsonl"
+
+    def poison(record):
+        record["frames"][0][0] = float("nan")
+
+    _rewrite_first_record(data_path, poison)
+    code = run(
+        "train", "--stage", "end-to-end", "--dataset", str(data_path), "--epochs", "1",
+        "--t", "8", "--l-min", "2", "--l-max", "8", "--d-in", "8", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "line 1" in err and "'frames'" in err and "non-finite" in err
+
+
+def test_eval_checkpoint_with_string_data_exits_2(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=26, n=8)
+    out = tmp_path / "run"
+    assert run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "0", "--out", str(out),
+    ) == 0
+    ck_path = out / "checkpoint.json"
+    blob = json.loads(ck_path.read_text())
+    blob["params"]["ff1.b"]["data"] = ["x"] * len(blob["params"]["ff1.b"]["data"])
+    ck_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--checkpoint", str(ck_path), "--out", str(tmp_path / "e"),
+    )
+    assert code == 2
+    assert "parameter 'ff1.b': field 'data'" in capsys.readouterr().err

@@ -243,6 +243,57 @@ def test_unlabeled_frame_rejected(tmp_path):
         data.load_dataset(path)
 
 
+def _small_dataset(kind, seed):
+    if kind == "frames":
+        return data.gen_frame_dataset(seed, 2, data.FrameRecipe(d_in=4))
+    recipe = data.VideoRecipe(l_min=2, l_max=4, feature_kind=kind, d_in=4)
+    return data.gen_video_dataset(seed, 2, recipe, t=6)
+
+
+def _saved_with_edit(tmp_path, dataset, edit):
+    """Save (samples, manifest), apply `edit` to the decoded records, write back."""
+    path = tmp_path / "bad.jsonl"
+    data.save_dataset(path, *dataset)
+    records = [json.loads(l) for l in path.read_text().splitlines()]
+    edit(records)
+    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind,field", [
+    ("affect", "frames"), ("descriptor", "frames"), ("frames", "features"),
+])
+def test_non_finite_values_rejected(tmp_path, kind, field):
+    def poison(records):
+        values = np.asarray(records[1][field], dtype=float)
+        values.reshape(-1)[0] = np.inf
+        records[1][field] = values.tolist()
+
+    path = _saved_with_edit(tmp_path, _small_dataset(kind, 26), poison)
+    with pytest.raises(data.DatasetError, match=f"line 2: field '{field}' holds a non-finite"):
+        data.load_dataset(path)
+
+
+@pytest.mark.parametrize("kind,field", [
+    ("affect", "frames"), ("affect", "length"), ("affect", "label"), ("affect", "id"),
+    ("frames", "features"), ("frames", "labels"),
+])
+def test_missing_record_field_rejected(tmp_path, kind, field):
+    path = _saved_with_edit(tmp_path, _small_dataset(kind, 27), lambda r: r[0].pop(field))
+    with pytest.raises(data.DatasetError, match=f"line 1: record lacks field '{field}'"):
+        data.load_dataset(path)
+
+
+@pytest.mark.parametrize("label,value", [("expr", "happy"), ("va", ["x", 0.0]), ("au", "none")])
+def test_wrongly_typed_frame_label_rejected(tmp_path, label, value):
+    def retype(records):
+        records[0]["labels"][label] = value
+
+    path = _saved_with_edit(tmp_path, _small_dataset("frames", 28), retype)
+    with pytest.raises(data.DatasetError, match=f"line 1: .*{label}"):
+        data.load_dataset(path)
+
+
 def test_missing_manifest_rejected(tmp_path):
     path = tmp_path / "orphan.jsonl"
     path.write_text("{}\n")
