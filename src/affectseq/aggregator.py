@@ -6,8 +6,7 @@ the video's true pre-padding length are zeroed by the mask layer before
 two feed-forward layers produce the 7 intensity outputs.
 
 In the batched graph each GRU layer is one fused `autodiff.gru` node
-over a (batch, t*d) frames placeholder; with masking on it stops after
-the batch's longest true length. The numeric twin `gru_forward` runs
+over a (batch, t*d) frames placeholder. The numeric twin `gru_forward` runs
 the same kernel on a batch of one, and `gru_chain_nodes`, the unrolled
 composition, remains only as the oracle the fused op is tested against.
 
@@ -152,21 +151,17 @@ def forward_nodes(config, batch_size, frames=None):
     `frames` is a (batch, t*d_in) node, row-major over (step, feature);
     when omitted, a "frames" placeholder is created, plus a "mask"
     placeholder when masking is enabled, so one graph serves every
-    batch of the same size. Each GRU layer is one fused `gru` node that
-    stops after the batch's longest kept step.
+    batch of the same size. Each GRU layer is one fused `gru` node.
     """
     params = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
     if frames is None:
         frames = ad.placeholder("frames", (batch_size, config.t * config.d_in))
-    mask = None
-    if config.mask_enabled:
-        mask = ad.placeholder("mask", (batch_size, config.t * config.d_hidden))
     z = frames
     for layer in range(config.gru_layers):
         weights = [params[f"gru{layer}.{role}"] for role in ad.GRU_WEIGHTS]
-        z = ad.gru(z, weights, config.t, config.d_hidden, mask=mask, name=f"gru{layer}")
-    if mask is not None:
-        z = ad.mul(z, mask)
+        z = ad.gru(z, weights, config.t, config.d_hidden, name=f"gru{layer}")
+    if config.mask_enabled:
+        z = ad.mul(z, ad.placeholder("mask", (batch_size, config.t * config.d_hidden)))
     z3 = ad.tanh(ad.affine(z, params["ff1.w"], params["ff1.b"]))
     u = ad.affine(z3, params["out.w"], params["out.b"])
     if config.sigmoid_output:

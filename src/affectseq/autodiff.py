@@ -251,12 +251,10 @@ def reshape(a, shape):
 GRU_WEIGHTS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
 
-def gru(x, weights, t, d_hidden, mask=None, name=None):
+def gru(x, weights, t, d_hidden, name=None):
     """One GRU layer over t steps: (b, t*d) frames to (b, t*d_hidden) states.
 
-    `weights` holds the layer's nine nodes in GRU_WEIGHTS order. With a
-    0/1 `mask` node of the output's shape, the recurrence stops after the
-    last step any row keeps; later output columns are exactly zero.
+    `weights` holds the layer's nine nodes in GRU_WEIGHTS order.
     """
     x = _lift(x)
     if len(x.shape) != 2 or x.shape[1] % t:
@@ -272,13 +270,7 @@ def gru(x, weights, t, d_hidden, mask=None, name=None):
             raise GraphError(f"gru: {role} {w.name} has shape {w.shape}, "
                              f"expected {expected[role[0]]}")
         parents.append(w)
-    shape = (x.shape[0], t * d_hidden)
-    if mask is not None:
-        mask = _lift(mask)
-        if mask.shape != shape:
-            raise GraphError(f"gru: mask {mask.shape} does not fit {shape}")
-        parents.append(mask)
-    return Node("gru", shape, parents, name=name, t=int(t))
+    return Node("gru", (x.shape[0], t * d_hidden), parents, name=name, t=int(t))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ def np_softmax(x):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def np_gru(x, weights, t, steps=None, name="gru"):
+def np_gru(x, weights, t, name="gru"):
     """GRU over a (b, t*d) batch; the one numeric GRU in the package.
 
     `weights` holds the arrays in GRU_WEIGHTS order. Per step k, with
@@ -311,24 +303,22 @@ def np_gru(x, weights, t, steps=None, name="gru"):
     loop (Appleyard et al. 2016), one stacked matmul per gate: it makes
     the same BLAS call per step as a per-step product, so results are
     bit-identical to the unrolled graph and, at b=1, to a vector
-    recurrence. Only the first `steps` steps run (all t by default);
-    the states of later steps are exactly zero. Since sigmoid and tanh
-    hide an overflowed pre-activation, all three are checked once after
-    the loop. Returns ((b, t*H) states, state saved for np_gru_backward).
+    recurrence. Since sigmoid and tanh hide an overflowed pre-activation,
+    all three are checked once after the loop. Returns ((b, t*H) states,
+    state saved for np_gru_backward).
     """
     wz, uz, bz, wr, ur, br, wh, uh, bh = weights
     b, hid = x.shape[0], uz.shape[0]
     d = x.shape[1] // t
-    n = t if steps is None else steps
-    xs = np.ascontiguousarray(x.reshape(b, t, d)[:, :n].transpose(1, 0, 2))  # (n, b, d)
-    pre = np.empty((3, n, b, hid))  # pre-activations of u, r, c
+    xs = np.ascontiguousarray(x.reshape(b, t, d).transpose(1, 0, 2))  # (t, b, d)
+    pre = np.empty((3, t, b, hid))  # pre-activations of u, r, c
     for i, w in enumerate((wz, wr, wh)):
         np.matmul(xs, w, out=pre[i])
-    gates = np.empty((2, n, b, hid))  # u, r
-    cand = np.empty((n, b, hid))
-    rh = np.empty((n, b, hid))
-    hs = np.zeros((n + 1, b, hid))  # hs[k] is the state entering step k
-    for k in range(n):
+    gates = np.empty((2, t, b, hid))  # u, r
+    cand = np.empty((t, b, hid))
+    rh = np.empty((t, b, hid))
+    hs = np.zeros((t + 1, b, hid))  # hs[k] is the state entering step k
+    for k in range(t):
         h = hs[k]
         pre[0, k] += h @ uz
         pre[0, k] += bz
@@ -343,23 +333,22 @@ def np_gru(x, weights, t, steps=None, name="gru"):
     bad = ~np.isfinite(pre).all(axis=(0, 2, 3))
     if bad.any():
         raise GraphError(f"non-finite pre-activation in {name} step {int(np.argmax(bad))}")
-    out = np.zeros((b, t, hid))
-    out[:, :n] = hs[1:].transpose(1, 0, 2)
-    return out.reshape(b, t * hid), (xs, hs, gates, cand, rh)
+    out = hs[1:].transpose(1, 0, 2).reshape(b, t * hid)
+    return out, (xs, hs, gates, cand, rh)
 
 
-def np_gru_backward(g, weights, t, saved):
+def np_gru_backward(g, weights, saved):
     """Backpropagation through time for np_gru; gradients in the order
-    (x, *GRU_WEIGHTS). Only the steps the forward ran carry gradient."""
+    (x, *GRU_WEIGHTS)."""
     xs, hs, gates, cand, rh = saved
     wz, uz, _, wr, ur, _, wh, uh, _ = weights
-    n, b, d = xs.shape
+    t, b, d = xs.shape
     hid = uz.shape[0]
-    gs = g.reshape(b, t, hid)[:, :n].transpose(1, 0, 2)
-    da = np.empty((n, b, 3 * hid))  # pre-activation gradients, u | r | c
+    gs = g.reshape(b, t, hid).transpose(1, 0, 2)
+    da = np.empty((t, b, 3 * hid))  # pre-activation gradients, u | r | c
     dh = np.zeros((b, hid))
     u_zr = np.concatenate([uz, ur], axis=1)
-    for k in range(n - 1, -1, -1):
+    for k in range(t - 1, -1, -1):
         dh = dh + gs[k]
         hp, u, r, c = hs[k], gates[0, k], gates[1, k], cand[k]
         du, dr, dc = da[k, :, :hid], da[k, :, hid:2 * hid], da[k, :, 2 * hid:]
@@ -368,37 +357,24 @@ def np_gru_backward(g, weights, t, saved):
         drh = dc @ uh.T
         np.multiply(drh * hp, r * (1.0 - r), out=dr)
         dh = dh * (1.0 - u) + drh * r + da[k, :, :2 * hid] @ u_zr.T
-    flat = da.reshape(n * b, 3 * hid)
-    dw = xs.reshape(n * b, d).T @ flat
-    du_zr = hs[:n].reshape(n * b, hid).T @ flat[:, :2 * hid]
-    duh = rh.reshape(n * b, hid).T @ flat[:, 2 * hid:]
+    flat = da.reshape(t * b, 3 * hid)
+    dw = xs.reshape(t * b, d).T @ flat
+    du_zr = hs[:t].reshape(t * b, hid).T @ flat[:, :2 * hid]
+    duh = rh.reshape(t * b, hid).T @ flat[:, 2 * hid:]
     db = flat.sum(axis=0)
-    dx = np.zeros((b, t, d))
-    dx[:, :n] = (flat @ np.concatenate([wz, wr, wh], axis=1).T).reshape(n, b, d).transpose(1, 0, 2)
+    dx = (flat @ np.concatenate([wz, wr, wh], axis=1).T).reshape(t, b, d).transpose(1, 0, 2)
     gz, gr, gc = slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, None)
     return (dx.reshape(b, t * d), dw[:, gz], du_zr[:, gz], db[gz], dw[:, gr], du_zr[:, gr], db[gr],
             dw[:, gc], duh, db[gc])
 
 
-def _kept_steps(mask, t):
-    """Number of leading steps up to the last one any row of a 0/1
-    (b, t*H) mask keeps."""
-    kept = np.flatnonzero(mask.reshape(mask.shape[0], t, -1).any(axis=(0, 2)))
-    return int(kept[-1]) + 1 if kept.size else 0
-
-
-def _fw_gru(node, x, *rest):
-    weights, mask = rest[:len(GRU_WEIGHTS)], rest[len(GRU_WEIGHTS):]
-    t = node.attrs["t"]
-    steps = _kept_steps(mask[0], t) if mask else None
-    return np_gru(x, weights, t, steps, node.name)
+def _fw_gru(node, x, *weights):
+    return np_gru(x, weights, node.attrs["t"], node.name)
 
 
 def _bw_gru(node, g, x, *rest):
-    # rest: the weights, the mask if any, then the saved state
-    weights, mask = rest[:len(GRU_WEIGHTS)], rest[len(GRU_WEIGHTS):-1]
-    grads = np_gru_backward(g, weights, node.attrs["t"], rest[-1])
-    return grads + (None,) if mask else grads  # a fixed 0/1 mask has no gradient
+    # rest: the weights, then the saved state
+    return np_gru_backward(g, rest[:-1], rest[-1])
 
 
 def _fw_log(node, x):
@@ -658,8 +634,6 @@ class Graph:
                 args.append(self._saved[id(node)])
             parent_grads = _BACKWARD[node.op](node, g, *args)
             for p, pg in zip(node.parents, parent_grads):
-                if pg is None:  # operand without a gradient
-                    continue
                 key = id(p)
                 if key in grads:
                     grads[key] = grads[key] + pg

@@ -111,7 +111,7 @@ def test_fused_gru_matches_unrolled_oracle(mask_enabled, gru_layers):
     params = {k: v + 0.1 * rng.normal(size=v.shape)
               for k, v in random_params(config, seed=31).items()}
     frames = rng.normal(size=(3, 7, 5))
-    lengths = np.array([2, 5, 4])  # longest kept step below t
+    lengths = np.array([2, 5, 4])  # padded steps past the longest length
     bindings = agg.batch_bindings(config, params, frames, lengths)
     for k in range(config.t):
         bindings[f"x_{k}"] = frames[:, k, :]

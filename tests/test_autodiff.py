@@ -333,22 +333,6 @@ def test_gru_rejects_mismatched_weights():
         ad.gru(ad.param("x", (2, 12)), weights, 4, 2)
 
 
-def test_gru_columns_past_longest_kept_step_are_zero():
-    rng = np.random.default_rng(6)
-    t, d, hid = 6, 3, 2
-    bindings = _gru_weights(rng, d, hid)
-    mask = np.zeros((2, t * hid))
-    mask[0, :2 * hid] = 1.0
-    mask[1, :4 * hid] = 1.0  # longest kept step: 4 of 6
-    out = ad.gru(ad.constant(rng.normal(size=(2, t * d))), _gru_leaves(bindings), t, hid,
-                 mask=ad.constant(mask))
-    g = ad.Graph(ad.reduce_sum(out))
-    g.evaluate(bindings)
-    states = g.cached_value(out)
-    assert np.all(states[:, 4 * hid:] == 0.0)
-    assert np.all(states[:, :4 * hid] != 0.0)
-
-
 def test_gru_overflowing_preactivation_names_node_and_step():
     # sigmoid(inf) is a finite 1, so only the pre-activation check sees it
     rng = np.random.default_rng(7)
