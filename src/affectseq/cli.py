@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregator as agg
-from . import data, metrics, training, verification
+from . import atomic, data, metrics, training, verification
 from .autodiff import GraphError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_config
@@ -259,8 +259,8 @@ def cmd_eval(config):
         raise ConfigError(f"eval needs an aggregator or joint checkpoint, got {ck.kind!r}")
     labels = np.asarray([s.label for s in part])
     report = metrics.evaluate(preds, labels, "intensity")
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "report.csv").write_text(report.to_csv())
+    atomic.write_text(out / "report.json", report.to_json() + "\n")
+    atomic.write_text(out / "report.csv", report.to_csv())
     for name, value in report.per_class.items():
         print(f"{name} {report.as_percent(value)}")
     print(report.as_percent(report.mean))
@@ -289,7 +289,7 @@ def cmd_gradcheck(config, epsilon=1e-6, inject_fault=False):
             for name, err, params in failures
         ],
     }
-    (out / "gradient_report.json").write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
+    atomic.write_text(out / "gradient_report.json", json.dumps(blob, indent=2, sort_keys=True) + "\n")
     for name, report in reports.items():
         status = "ok" if report.passed(verification.THRESHOLD) else "FAIL"
         print(f"{name:28s} max_rel_error {report.max_rel_error:.3e}  {status}")
@@ -363,8 +363,8 @@ def cmd_ablate(config):
             f"{row['representation']:<10s} {row['mask']:<5s} {row['loss']:<8s} "
             f"{row['val_mean_rho_percent']:>12s}"
         )
-    (out / "ablation.csv").write_text("\n".join(csv_lines) + "\n")
-    (out / "ablation.txt").write_text("\n".join(txt_lines) + "\n")
+    atomic.write_text(out / "ablation.csv", "\n".join(csv_lines) + "\n")
+    atomic.write_text(out / "ablation.txt", "\n".join(txt_lines) + "\n")
     print("\n".join(txt_lines))
     return EXIT_OK
 

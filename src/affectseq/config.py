@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from . import atomic
 from .affect_space import REPRESENTATION_SUBSETS
 from .affect_head import HeadConfig
 from .aggregator import AggregatorConfig
@@ -187,8 +188,9 @@ class RunConfig:
     def echo(self, out_dir):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "effective_config.json").write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        atomic.write_text(
+            out_dir / "effective_config.json",
+            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
         )
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .affect_space import (
     AU_IDS,
     AU_SLICE,
@@ -362,8 +363,9 @@ def save_dataset(path, samples, manifest):
             }, sort_keys=True))
     else:
         raise DatasetError(f"unknown dataset kind {manifest.kind!r}")
-    path.write_text("\n".join(lines) + "\n")
-    manifest_path(path).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    atomic.write_text(path, "\n".join(lines) + "\n")
+    manifest_text = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+    atomic.write_text(manifest_path(path), manifest_text)
 
 
 def _check(cond, lineno, message):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import affect_head as head
 from . import aggregator as agg
-from . import metrics
+from . import atomic, metrics
 from .data import VideoSample, frame_batch, video_arrays
 from .optim import adam_init
 
@@ -209,8 +209,7 @@ def write_curve_csv(path, history):
     lines = ["schema_version,1", ",".join(cols)]
     for row in history:
         lines.append(",".join(repr(row.get(c, float("nan"))) for c in cols))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def _polyline(points, x0, y0, w, h, xmin, xmax, ymin, ymax):
@@ -253,5 +252,4 @@ def write_curve_svg(path, history, series=("train_loss", "val_mean_rho")):
             )
     parts.append(f'<text x="{margin}" y="{height - 12}" font-size="12" fill="#333">epoch</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    atomic.write_text(path, "\n".join(parts) + "\n")

@@ -1,9 +1,15 @@
+import base64
 import json
+import math
 
 import numpy as np
 import pytest
 
 from affectseq.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -21,6 +27,36 @@ def test_round_trip_bit_exact(tmp_path):
     for name in params:
         np.testing.assert_array_equal(ck.params[name], params[name])
         assert ck.params[name].dtype == np.float64
+
+
+def test_round_trip_preserves_every_bit(tmp_path):
+    tiny, big = 5e-324, np.finfo(float).max
+    params = {
+        "special": np.array([[-0.0, tiny, -tiny], [big, -big, 1.0 / 3.0]], order="F"),
+        "strided": (np.pi * np.arange(24.0)).reshape(4, 6)[::2, 1::2],
+        "integers": np.arange(-3, 3).reshape(2, 3),
+    }
+    assert not params["special"].flags.c_contiguous
+    assert not params["strided"].flags.c_contiguous
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, params, {}, "head")
+    ck = load_checkpoint(path)
+    for name, arr in params.items():
+        got, want = ck.params[name], np.ascontiguousarray(arr, dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == arr.shape
+        assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_file_size_is_base64_of_float64(tmp_path):
+    # float text takes about twice these bytes for random values; the slack
+    # covers the JSON keys, the shapes and the config
+    rng = np.random.default_rng(2)
+    params = {"w": rng.normal(size=(64, 48)), "b": rng.normal(size=(48,))}
+    n = sum(arr.size for arr in params.values())
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, params, {"seed": 0, "t": 480}, "aggregator")
+    assert path.stat().st_size <= math.ceil(8 * n / 3) * 4 + 4096
 
 
 def test_same_params_write_identical_bytes(tmp_path):
@@ -59,6 +95,15 @@ def test_shape_mismatch_raises(tmp_path):
     ("params", "w", "data", ["a", "b", "c", "d"]),
     ("params", "w", "shape", "2x2"),
     ("params", "w", "data", [0.0, float("nan"), 0.0, 0.0]),
+    # a top-level field plus a value
+    ("kind", 3),
+    ("config", [1, 2]),
+    # base64 data that is not, or does not decode to, four finite float64
+    ("params", "w", "data", "not base64!"),
+    ("params", "w", "data", "AAAA\u00e9"),
+    ("params", "w", "data", _b64([0.0, 1.0, 2.0])),
+    ("params", "w", "data", _b64([0.0, float("nan"), 0.0, 0.0])),
+    ("params", "w", "data", _b64([0.0, 0.0, float("-inf"), 0.0])),
 ])
 def test_malformed_document_names_field(tmp_path, drop):
     path = tmp_path / "ck.json"
@@ -67,6 +112,9 @@ def test_malformed_document_names_field(tmp_path, drop):
     if len(drop) == 4:  # replace the parameter field's value
         blob["params"]["w"][drop[2]] = drop[3]
         expected = f"parameter 'w': field '{drop[2]}'"
+    elif len(drop) == 2:  # replace the top-level field's value
+        blob[drop[0]] = drop[1]
+        expected = f": field '{drop[0]}'"
     elif drop:  # delete the field at this key path
         owner = blob
         for key in drop[:-1]:

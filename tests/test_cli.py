@@ -433,3 +433,28 @@ def test_eval_checkpoint_with_string_data_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "parameter 'ff1.b': field 'data'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("config", [1, 2], "field 'config' is not a JSON object"),
+    ("schema_version", "1", "unsupported checkpoint schema '1'"),
+])
+def test_eval_checkpoint_with_bad_document_field_exits_2(tmp_path, capsys, field, value, expected):
+    data_path = gen_videos(tmp_path, seed=27, n=8)
+    out = tmp_path / "run"
+    assert run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "0", "--out", str(out),
+    ) == 0
+    ck_path = out / "checkpoint.json"
+    blob = json.loads(ck_path.read_text())
+    blob[field] = value
+    ck_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--checkpoint", str(ck_path), "--out", str(tmp_path / "e"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert expected in err and err.count("\n") == 1
