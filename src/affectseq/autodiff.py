@@ -7,8 +7,8 @@ The primitive set is closed; every layer and loss in this package is a
 composition of the primitives below, so each backward rule stays small
 enough to verify by finite differences.
 
-Besides elementwise, matmul, reduction, concat and mask primitives the
-set holds `reshape` (a row-major view, for running one layer over all
+Besides elementwise, matmul, reduction and concat primitives the set
+holds `reshape` (a row-major view, for running one layer over all
 frames of a batch at once) and `gru`, a whole GRU layer over t steps
 with a hand-written backpropagation-through-time rule. The unrolled
 step-by-step composition (`aggregator.gru_chain_nodes`) is its oracle.
@@ -223,16 +223,6 @@ def concat(nodes, axis=0):
     return Node("concat", shape, nodes, axis=axis)
 
 
-def apply_mask(a, mask):
-    """Elementwise product with a fixed 0/1 array; masked entries get
-    exactly-zero values and exactly-zero gradients."""
-    a = _lift(a)
-    m = np.asarray(mask, dtype=np.float64)
-    if np.broadcast_shapes(a.shape, m.shape) != a.shape:
-        raise GraphError(f"apply_mask: mask {m.shape} does not fit {a.shape}")
-    return Node("mask", a.shape, (a,), mask=m)
-
-
 def affine(x, w, b):
     """x @ w + b, the ubiquitous dense-layer composition."""
     return add(matmul(x, w), b)
@@ -407,7 +397,6 @@ _FORWARD = {
         axis=n.attrs["axis"],
     ),
     "concat": lambda n, *parts: np.concatenate(parts, axis=n.attrs["axis"]),
-    "mask": lambda n, a: a * n.attrs["mask"],
     "reshape": lambda n, a: a.reshape(n.shape),
     "gru": _fw_gru,
 }
@@ -518,7 +507,6 @@ _BACKWARD = {
     "variance": _bw_variance,
     "covariance": _bw_covariance,
     "concat": _bw_concat,
-    "mask": lambda n, g, a: (g * n.attrs["mask"],),
     "reshape": lambda n, g, a: (g.reshape(a.shape),),
     "gru": _bw_gru,
 }

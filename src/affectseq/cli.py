@@ -6,6 +6,12 @@ failure. Every run echoes its effective config into the output
 directory; identical seeds and configs reproduce every artifact
 byte-for-byte.
 
+--head-checkpoint takes a head checkpoint; --checkpoint takes an
+aggregator checkpoint for train and an aggregator or joint checkpoint
+for eval. train and ablate check the dataset's t and frame width
+against the config, eval against the checkpoint, and a head's input
+width against the descriptor videos; a mismatch exits 2.
+
 The only environment override is AFFECTSEQ_THREADS, which parallelizes
 the ablation sweep across worker processes.
 """
@@ -114,38 +120,17 @@ def cmd_gen(config):
 # train
 
 
-def _aggregator_config_for(config, samples):
-    width = _nonempty(samples, "train", config)[0].frames.shape[1]
-    return config.aggregator_config(d_in=width)
-
-
-def _prepare_video_splits(config, manifest, parts):
-    """Column-select affect videos; run a frozen head over descriptors."""
-    if manifest.recipe.get("feature_kind", "affect") == "descriptor":
-        if not config.head_checkpoint:
-            raise ConfigError(
-                "descriptor videos need --head-checkpoint for feature extraction"
-            )
-        ck = load_checkpoint(config.head_checkpoint)
-        if ck.kind != "head":
-            raise CheckpointError(f"expected a head checkpoint, got kind {ck.kind!r}")
-        head_config = _run_config_from(ck).head_config()
-        parts = {
-            name: training.transform_videos(part, ck.params, head_config)
-            for name, part in parts.items()
-        }
-    if config.representation != "all":
-        parts = {
-            name: data.select_columns(part, config.representation)
-            for name, part in parts.items()
-        }
-    return parts
-
-
 def _run_config_from(ck):
     """The RunConfig stored in a checkpoint."""
     names = {f.name for f in fields(RunConfig)}
     return RunConfig(**{k: v for k, v in ck.config.items() if k in names})
+
+
+def _load_kind(path, kind, context):
+    ck = load_checkpoint(path)
+    if ck.kind != kind:
+        raise CheckpointError(f"{context}: checkpoint kind is {ck.kind!r}, expected {kind!r}")
+    return ck
 
 
 def _check_param_shapes(params, expected_shapes, context):
@@ -159,6 +144,42 @@ def _check_param_shapes(params, expected_shapes, context):
             )
 
 
+def _load_params(path, kind, shapes, context):
+    """The parameters of an initial checkpoint of this kind holding these
+    shapes; None when no path is given."""
+    if not path:
+        return None
+    ck = _load_kind(path, kind, context)
+    _check_param_shapes(ck.params, shapes, context)
+    return ck.params
+
+
+def _check_dims(manifest, t, d, context):
+    """The dataset's padded length and frame width against the model's."""
+    for name, want, have in (("t", t, manifest.t), ("frame width", d, manifest.d)):
+        if want is not None and want != have:
+            raise ConfigError(f"{context} expects {name} {want}, the dataset has {name} {have}")
+
+
+def _affect_parts(parts, manifest, head_checkpoint, representation):
+    """Each split as the aggregator reads it: descriptor videos go through
+    the frozen head, then frames keep the representation's columns."""
+    if manifest.recipe.get("feature_kind", "affect") == "descriptor":
+        if not head_checkpoint:
+            raise ConfigError("descriptor videos need --head-checkpoint for feature extraction")
+        ck = _load_kind(head_checkpoint, "head", "--head-checkpoint")
+        head_config = _run_config_from(ck).head_config()
+        _check_param_shapes(ck.params, head_config.param_shapes(), "--head-checkpoint")
+        _check_dims(manifest, None, head_config.d_in, "--head-checkpoint")
+        parts = {
+            name: training.transform_videos(part, ck.params, head_config)
+            for name, part in parts.items()
+        }
+    if representation != "all":
+        parts = {name: data.select_columns(part, representation) for name, part in parts.items()}
+    return parts
+
+
 def _checkpoint_config(config):
     # the output directory is run bookkeeping, not model provenance;
     # embedding it would make otherwise-identical checkpoints differ
@@ -170,7 +191,8 @@ def _checkpoint_config(config):
 def cmd_train(config):
     out = _out_dir(config)
     if config.stage == "mma":
-        samples, _ = _load_videos(config, expect_kind="frames")
+        samples, manifest = _load_videos(config, expect_kind="frames")
+        _check_dims(manifest, None, config.d_in, "the config")
         parts = _split_from_config(samples, config)
         head_config = config.head_config()
         outcome = training.train_head(
@@ -181,13 +203,13 @@ def cmd_train(config):
         kind, metric_key = "head", "val_loss"
     elif config.stage == "mrnn-frozen":
         samples, manifest = _load_videos(config)
-        parts = _prepare_video_splits(config, manifest, _split_from_config(samples, config))
-        agg_config = _aggregator_config_for(config, parts["train"])
-        init = None
-        if config.checkpoint:
-            ck = load_checkpoint(config.checkpoint)
-            _check_param_shapes(ck.params, agg_config.param_shapes(), "aggregator init")
-            init = ck.params
+        _check_dims(manifest, config.t, None, "the config")
+        parts = _split_from_config(samples, config)
+        _nonempty(parts["train"], "train", config)
+        parts = _affect_parts(parts, manifest, config.head_checkpoint, config.representation)
+        agg_config = config.aggregator_config()
+        init = _load_params(config.checkpoint, "aggregator", agg_config.param_shapes(),
+                            "--checkpoint")
         outcome = training.train_aggregator(
             parts["train"], parts["val"], agg_config,
             epochs=config.epochs, batch_size=config.batch_size,
@@ -198,18 +220,14 @@ def cmd_train(config):
         samples, manifest = _load_videos(config)
         if manifest.recipe.get("feature_kind") != "descriptor":
             raise ConfigError("end-to-end training expects descriptor videos")
+        _check_dims(manifest, config.t, config.d_in, "the config")
         parts = _split_from_config(samples, config)
         head_config = config.head_config()
         agg_config = config.aggregator_config(d_in=26)
-        init_head = init_agg = None
-        if config.head_checkpoint:
-            ck = load_checkpoint(config.head_checkpoint)
-            _check_param_shapes(ck.params, head_config.param_shapes(), "head init")
-            init_head = ck.params
-        if config.checkpoint:
-            ck = load_checkpoint(config.checkpoint)
-            _check_param_shapes(ck.params, agg_config.param_shapes(), "aggregator init")
-            init_agg = ck.params
+        init_head = _load_params(config.head_checkpoint, "head", head_config.param_shapes(),
+                                 "--head-checkpoint")
+        init_agg = _load_params(config.checkpoint, "aggregator", agg_config.param_shapes(),
+                                "--checkpoint")
         outcome = training.train_joint(
             parts["train"], parts["val"], head_config, agg_config,
             epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
@@ -234,29 +252,25 @@ def cmd_eval(config):
     if not config.checkpoint:
         raise ConfigError("--checkpoint is required")
     ck = load_checkpoint(config.checkpoint)
-    samples, manifest = _load_videos(config)
-    part = _nonempty(_split_from_config(samples, config)[config.split], config.split, config)
+    if ck.kind not in ("aggregator", "joint"):
+        raise ConfigError(f"eval needs an aggregator or joint checkpoint, got {ck.kind!r}")
     run = _run_config_from(ck)
+    samples, manifest = _load_videos(config)
+    _check_dims(manifest, run.t, run.d_in if ck.kind == "joint" else None, "the checkpoint")
+    part = _nonempty(_split_from_config(samples, config)[config.split], config.split, config)
     if ck.kind == "aggregator":
-        if manifest.recipe.get("feature_kind", "affect") == "descriptor":
-            if not config.head_checkpoint:
-                raise ConfigError("descriptor videos need --head-checkpoint")
-            hck = load_checkpoint(config.head_checkpoint)
-            part = training.transform_videos(part, hck.params, _run_config_from(hck).head_config())
-        if run.representation != "all":
-            part = data.select_columns(part, run.representation)
-        agg_config = run.aggregator_config(d_in=part[0].frames.shape[1])
+        part = _affect_parts({"eval": part}, manifest, config.head_checkpoint,
+                             run.representation)["eval"]
+        agg_config = run.aggregator_config()
         _check_param_shapes(ck.params, agg_config.param_shapes(), "eval")
         preds = agg.predict(part, ck.params, agg_config)
-    elif ck.kind == "joint":
+    else:
         head_config = run.head_config()
         agg_config = run.aggregator_config(d_in=26)
         hp, ap = training.split_joint_params(ck.params, head_config)
         _check_param_shapes(hp, head_config.param_shapes(), "eval")
         _check_param_shapes(ap, agg_config.param_shapes(), "eval")
         preds = training.joint_predict(part, hp, head_config, ap, agg_config)
-    else:
-        raise ConfigError(f"eval needs an aggregator or joint checkpoint, got {ck.kind!r}")
     labels = np.asarray([s.label for s in part])
     report = metrics.evaluate(preds, labels, "intensity")
     atomic.write_text(out / "report.json", report.to_json() + "\n")
@@ -338,6 +352,7 @@ def cmd_ablate(config):
     samples, manifest = _load_videos(config)
     if manifest.d != 26 or manifest.recipe.get("feature_kind", "affect") != "affect":
         raise ConfigError("ablation needs a full 26-dim affect video dataset")
+    _check_dims(manifest, config.t, None, "the config")
     parts = _split_from_config(samples, config)
     _nonempty(parts["train"], "train", config)
     config_blob = config.to_dict()

@@ -127,9 +127,20 @@ class DatasetManifest:
         return base
 
     @classmethod
-    def from_dict(cls, blob):
+    def from_dict(cls, blob, where="manifest"):
+        """Raises DatasetError naming `where` and the missing or
+        malformed field."""
+        if not isinstance(blob, dict):
+            raise DatasetError(f"{where} is not a JSON object")
         if blob.get("schema_version") != SCHEMA_VERSION:
-            raise DatasetError(f"unsupported manifest schema {blob.get('schema_version')!r}")
+            raise DatasetError(
+                f"unsupported manifest schema {blob.get('schema_version')!r} in {where}"
+            )
+        for key in ("kind", "seed", "n", "d", "recipe"):
+            if key not in blob:
+                raise DatasetError(f"{where} lacks field {key!r}")
+        if not isinstance(blob["recipe"], dict):
+            raise DatasetError(f"{where}: field 'recipe' is not a JSON object")
         return cls(
             kind=blob["kind"],
             seed=blob["seed"],
@@ -413,7 +424,11 @@ def load_dataset(path):
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DatasetError(f"missing manifest {mpath}")
-    manifest = DatasetManifest.from_dict(json.loads(mpath.read_text()))
+    try:
+        blob = json.loads(mpath.read_text())
+    except json.JSONDecodeError as e:
+        raise DatasetError(f"manifest {mpath} is not valid JSON: {e.msg}") from None
+    manifest = DatasetManifest.from_dict(blob, where=f"manifest {mpath}")
     samples = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

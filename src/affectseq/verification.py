@@ -132,7 +132,7 @@ def target_gru(rng):
 def target_mask(rng):
     z = ad.param("z", (8, 16))
     mask = (rng.uniform(size=(8, 16)) > 0.4).astype(float)
-    graph = ad.Graph(_cotangent_sum(ad.apply_mask(z, mask), rng))
+    graph = ad.Graph(_cotangent_sum(ad.mul(z, ad.constant(mask)), rng))
     return graph, {"z": rng.normal(size=(8, 16))}
 
 

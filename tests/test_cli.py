@@ -394,6 +394,22 @@ def test_video_record_missing_label_exits_3(tmp_path, capsys):
     assert "line 1" in err and "'label'" in err and len(err.strip().splitlines()) == 1
 
 
+def test_manifest_missing_kind_exits_3(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=28, n=8)
+    manifest = Path(f"{data_path}.manifest.json")
+    blob = json.loads(manifest.read_text())
+    blob.pop("kind")
+    manifest.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"manifest {manifest} lacks field 'kind'" in err and err.count("\n") == 1
+
+
 def test_descriptor_video_with_nan_exits_3(tmp_path, capsys):
     out = tmp_path / "desc"
     assert run(
@@ -458,3 +474,91 @@ def test_eval_checkpoint_with_bad_document_field_exits_2(tmp_path, capsys, field
     assert code == 2
     err = capsys.readouterr().err
     assert expected in err and err.count("\n") == 1
+
+
+# Small shapes for the mismatch matrix: models read t 8 or 16 and frames
+# of width 8 (descriptors), 4 (a second head) or 26 (affect features).
+SMALL = ("--l-min", "2", "--l-max", "8", "--d-hidden", "4", "--d-ff", "3",
+         "--batch-size", "8", "--head-width", "8", "--n", "16", "--epochs", "0")
+
+
+@pytest.fixture(scope="module")
+def mismatch_runs(tmp_path_factory):
+    """Datasets and zero-epoch checkpoints the mismatch cases combine."""
+    root = tmp_path_factory.mktemp("mismatch")
+
+    def make(command, name, *argv):
+        assert run(command, *SMALL, "--out", str(root / name), *argv) == 0
+
+    make("gen", "frames8", "--gen-kind", "frames", "--d-in", "8")
+    make("gen", "frames4", "--gen-kind", "frames", "--d-in", "4")
+    make("gen", "desc8", "--t", "8", "--feature-kind", "descriptor", "--d-in", "8")
+    make("gen", "aff8", "--t", "8")
+    make("gen", "aff16", "--t", "16")
+    paths = {
+        "frames8": root / "frames8" / "frames.jsonl",
+        "desc8": root / "desc8" / "videos.jsonl",
+        "aff8": root / "aff8" / "videos.jsonl",
+    }
+    for name, command in (
+        ("head4", ("--stage", "mma", "--dataset", str(root / "frames4" / "frames.jsonl"),
+                   "--d-in", "4")),
+        ("agg8", ("--dataset", str(paths["aff8"]), "--t", "8")),
+        ("agg16", ("--dataset", str(root / "aff16" / "videos.jsonl"), "--t", "16")),
+        ("joint8", ("--stage", "end-to-end", "--dataset", str(paths["desc8"]), "--t", "8",
+                    "--d-in", "8")),
+    ):
+        make("train", name, *command)
+        paths[name] = root / name / "checkpoint.json"
+    return paths
+
+
+# (argv with {name} for a path from mismatch_runs, substrings of the message)
+MISMATCH_CASES = {
+    "eval-head-flag-takes-aggregator": (
+        "eval --dataset {desc8} --checkpoint {agg8} --head-checkpoint {agg8}",
+        ("--head-checkpoint", "kind is 'aggregator', expected 'head'")),
+    "train-frozen-head-width": (
+        "train --dataset {desc8} --t 8 --head-checkpoint {head4}",
+        ("--head-checkpoint expects frame width 4", "dataset has frame width 8")),
+    "eval-head-width": (
+        "eval --dataset {desc8} --checkpoint {agg8} --head-checkpoint {head4}",
+        ("--head-checkpoint expects frame width 4", "dataset has frame width 8")),
+    "train-joint-config-width": (
+        "train --stage end-to-end --dataset {desc8} --t 8 --d-in 4",
+        ("config expects frame width 4", "dataset has frame width 8")),
+    "eval-aggregator-t": (
+        "eval --dataset {aff8} --checkpoint {agg16}",
+        ("checkpoint expects t 16", "dataset has t 8")),
+    "eval-joint-on-affect-videos": (
+        "eval --dataset {aff8} --checkpoint {joint8}",
+        ("checkpoint expects frame width 8", "dataset has frame width 26")),
+    "train-frozen-config-t": (
+        "train --dataset {aff8} --t 16",
+        ("config expects t 16", "dataset has t 8")),
+    "train-frozen-init-is-joint": (
+        "train --dataset {aff8} --t 8 --checkpoint {joint8}",
+        ("--checkpoint", "kind is 'joint', expected 'aggregator'")),
+    "train-joint-init-is-joint": (
+        "train --stage end-to-end --dataset {desc8} --t 8 --d-in 8 --checkpoint {joint8}",
+        ("--checkpoint", "kind is 'joint', expected 'aggregator'")),
+    "train-head-config-width": (
+        "train --stage mma --dataset {frames8} --d-in 4",
+        ("config expects frame width 4", "dataset has frame width 8")),
+    "ablate-config-t": (
+        "ablate --dataset {aff8} --t 16",
+        ("config expects t 16", "dataset has t 8")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCH_CASES))
+def test_dataset_checkpoint_mismatch_exits_2(mismatch_runs, tmp_path, capsys, case):
+    template, expected = MISMATCH_CASES[case]
+    command, *argv = template.format(**mismatch_runs).split()
+    capsys.readouterr()
+    code = run(command, *SMALL, *argv, "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1, err
+    for text in expected:
+        assert text in err, err

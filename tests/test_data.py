@@ -301,6 +301,36 @@ def test_missing_manifest_rejected(tmp_path):
         data.load_dataset(path)
 
 
+def _drop(key):
+    def edit(text):
+        blob = json.loads(text)
+        blob.pop(key)
+        return json.dumps(blob)
+    return edit
+
+
+def _set_recipe(text):
+    blob = json.loads(text)
+    blob["recipe"] = [1, 2]
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda text: text[:-5], "is not valid JSON"),
+    (lambda text: "[1, 2]", "is not a JSON object"),
+    *[(_drop(key), f"lacks field '{key}'") for key in ("kind", "seed", "n", "d", "recipe")],
+    (_set_recipe, "field 'recipe' is not a JSON object"),
+], ids=["non-json", "list", "no-kind", "no-seed", "no-n", "no-d", "no-recipe", "list-recipe"])
+def test_malformed_manifest_names_path_and_field(tmp_path, edit, expected):
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, *_small_dataset("affect", 29))
+    mpath = data.manifest_path(path)
+    mpath.write_text(edit(mpath.read_text()))
+    with pytest.raises(data.DatasetError) as info:
+        data.load_dataset(path)
+    assert f"manifest {mpath}" in str(info.value) and expected in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # splits
 
