@@ -78,16 +78,6 @@ class AffectOutput:
     def concat(self):
         return np.concatenate([self.va, self.expr, self.au], axis=-1)
 
-    def validate(self):
-        if np.any(np.abs(self.va) > 1.0):
-            raise ValueError("valence-arousal outside [-1, 1]")
-        if np.any((self.au < 0.0) | (self.au > 1.0)):
-            raise ValueError("AU activation outside [0, 1]")
-        sums = self.expr.sum(axis=-1)
-        if not np.all(np.abs(sums - 1.0) < 1e-9):
-            raise ValueError("expression distribution does not sum to 1")
-        return self
-
 
 def head_forward(features, params, config):
     """Numeric forward pass; accepts a single descriptor or a batch."""
@@ -118,14 +108,6 @@ def head_nodes(config, features):
 
 # ---------------------------------------------------------------------------
 # loss builders (expression-graph nodes)
-
-
-def ccc_node(x, y):
-    """Concordance of two 1-d nodes: 2*cov / (var_x + var_y + mean_gap^2)."""
-    cov = ad.covariance(x, y)
-    gap = ad.sub(ad.reduce_mean(x), ad.reduce_mean(y))
-    den = ad.add(ad.add(ad.variance(x), ad.variance(y)), ad.mul(gap, gap))
-    return ad.div(ad.scale(cov, 2.0), den)
 
 
 def weighted_va_ccc_loss_node(pred, label, row_weights):
@@ -199,72 +181,6 @@ def coupling_node(au_probs, au_targets, two_term=False):
 
 def pseudo_au_node(expr):
     return ad.matmul(expr, ad.constant(relatedness_matrix()))
-
-
-# ---------------------------------------------------------------------------
-# value-level loss surfaces (thin wrappers over the builders)
-
-
-def _scalar(node):
-    return float(ad.Graph(node).evaluate({}))
-
-
-def concordance(x, y):
-    """Concordance correlation of two equal-length sequences.
-
-    Returns exactly 0.0 whenever either sequence is constant: with a
-    constant input the covariance vanishes, and if both are constant
-    with equal values the denominator does too (the 0-by-convention
-    case, flagged by metrics-side reports).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("need two equal-length sequences with >= 2 points")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return 0.0
-    return _scalar(ccc_node(ad.constant(x), ad.constant(y)))
-
-
-def va_concordance_loss(va_pred, va_label):
-    """1 - 0.5*(ccc_arousal + ccc_valence) across the batch."""
-    va_pred = np.asarray(va_pred, dtype=np.float64)
-    va_label = np.asarray(va_label, dtype=np.float64)
-    if va_pred.shape != va_label.shape or va_pred.ndim != 2 or va_pred.shape[1] != 2:
-        raise ValueError("expected (batch, 2) arrays")
-    if va_pred.shape[0] < 2:
-        raise ValueError("need at least 2 labeled samples")
-    w = np.ones((va_pred.shape[0], 1))
-    return _scalar(weighted_va_ccc_loss_node(ad.constant(va_pred), ad.constant(va_label), w))
-
-
-def expression_loss(expr_probs, labels):
-    """Mean categorical cross entropy -log p[label] with the usual floor."""
-    expr_probs = np.asarray(expr_probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    onehot = np.zeros_like(expr_probs)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return _scalar(cross_entropy_node(ad.constant(expr_probs), onehot))
-
-
-def au_detection_loss(au_probs, au_labels):
-    """Mean binary cross entropy over all samples and all 17 AUs."""
-    au_probs = np.asarray(au_probs, dtype=np.float64)
-    au_labels = np.asarray(au_labels, dtype=np.float64)
-    w = np.ones((au_probs.shape[0], 1))
-    return _scalar(binary_cross_entropy_node(ad.constant(au_probs), au_labels, w))
-
-
-def coupling_loss(au_probs, au_targets, two_term=False):
-    """Value of the soft-target coupling loss for given activations and
-    targets; batch inputs are averaged, single vectors summed."""
-    return _scalar(
-        coupling_node(
-            ad.constant(np.asarray(au_probs, dtype=np.float64)),
-            ad.constant(np.asarray(au_targets, dtype=np.float64)),
-            two_term=two_term,
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

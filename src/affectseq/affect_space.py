@@ -78,19 +78,3 @@ def relatedness_matrix():
             m[e, au_index(au)] = 1.0
     return m
 
-
-def expected_aus(expr, matrix=None):
-    """AU activations implied by an expression distribution.
-
-    Mixes the relatedness rows with the distribution's weights, so a
-    one-hot expression returns exactly its row. Linear in `expr`; every
-    output lands in [0, 1].
-    """
-    expr = np.asarray(expr, dtype=np.float64)
-    if expr.shape[-1] != N_EXPRESSIONS:
-        raise ValueError(f"expected {N_EXPRESSIONS} expression weights, got {expr.shape}")
-    total = expr.sum(axis=-1)
-    if not np.allclose(total, 1.0, atol=1e-6):
-        raise ValueError(f"expression weights must sum to 1, got {total}")
-    m = relatedness_matrix() if matrix is None else np.asarray(matrix, dtype=np.float64)
-    return expr @ m

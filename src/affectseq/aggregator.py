@@ -7,8 +7,8 @@ two feed-forward layers produce the 7 intensity outputs.
 
 In the batched graph each GRU layer is one fused `autodiff.gru` node
 over a (batch, t*d) frames placeholder. The numeric twin `gru_forward` runs
-the same kernel on a batch of one, and `gru_chain_nodes`, the unrolled
-composition, remains only as the oracle the fused op is tested against.
+the same kernel on a batch of one; the unrolled step-by-step composition,
+the oracle the fused op is tested against, lives in tests/test_aggregator.py.
 
 Because the masked coordinates are exactly zero, the first feed-forward
 layer's weights attached to those positions receive exactly-zero
@@ -77,24 +77,6 @@ def gru_forward(frames, params, prefix="gru0"):
     return out.reshape(t, -1)
 
 
-def mask_by_length(z, length, d_hidden):
-    """Keep the first length*d_hidden coordinates, zero the rest.
-
-    The embedding is the row-major flattening of the per-step hidden
-    states, so prefix selection keeps exactly the states computed from
-    real (pre-padding) frames. Idempotent, and a linear projection.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] % d_hidden:
-        raise ValueError(f"embedding width {z.shape[-1]} not divisible by {d_hidden}")
-    t = z.shape[-1] // d_hidden
-    if not 1 <= length <= t:
-        raise ValueError(f"length {length} outside [1, {t}]")
-    out = z.copy()
-    out[..., length * d_hidden:] = 0.0
-    return out
-
-
 def length_mask(lengths, t, d_hidden):
     """(n, t*d_hidden) 0/1 array keeping each row's true-length prefix."""
     lengths = np.asarray(lengths)
@@ -114,7 +96,7 @@ def video_forward(frames, length, params, config):
         seq = gru_forward(seq, params, prefix=f"gru{layer}")
     z = seq.reshape(-1)
     if config.mask_enabled:
-        z = mask_by_length(z, length, config.d_hidden)
+        z = z * length_mask([length], config.t, config.d_hidden)[0]
     z3 = np.tanh(z @ params["ff1.w"] + params["ff1.b"])
     u = z3 @ params["out.w"] + params["out.b"]
     return ad.np_sigmoid(u) if config.sigmoid_output else u
@@ -122,27 +104,6 @@ def video_forward(frames, length, params, config):
 
 # ---------------------------------------------------------------------------
 # expression-graph twins
-
-
-def gru_chain_nodes(params, layer, inputs, batch_size, d_hidden):
-    """Unrolled GRU over a list of (batch, d) nodes; returns all h nodes.
-
-    The step-by-step composition of the fused `gru` op, kept as the
-    oracle its forward values and gradients are tested against.
-    """
-    wz, uz, bz = (params[f"gru{layer}.{n}z"] for n in ("w", "u", "b"))
-    wr, ur, br = (params[f"gru{layer}.{n}r"] for n in ("w", "u", "b"))
-    wh, uh, bh = (params[f"gru{layer}.{n}h"] for n in ("w", "u", "b"))
-    h = ad.constant(np.zeros((batch_size, d_hidden)))
-    one = ad.constant(1.0)
-    out = []
-    for x in inputs:
-        u = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h, uz)), bz))
-        r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h, ur)), br))
-        c = ad.tanh(ad.add(ad.add(ad.matmul(x, wh), ad.matmul(ad.mul(r, h), uh)), bh))
-        h = ad.add(ad.mul(ad.sub(one, u), h), ad.mul(u, c))
-        out.append(h)
-    return out
 
 
 def forward_nodes(config, batch_size, frames=None):
@@ -172,16 +133,17 @@ def forward_nodes(config, batch_size, frames=None):
 def pearson_loss_node(preds, labels, guard_nodes=None):
     """1 - mean over outputs of the per-column batch Pearson correlation.
 
-    Columns whose correlation is defined as zero get their denominator
-    bumped and the resulting ratio zeroed exactly through `guard_nodes`,
+    Columns whose correlation is defined as zero get the product of
+    variances bumped under the square root, so its derivative stays
+    finite, and the resulting ratio zeroed exactly through `guard_nodes`,
     a (bump, keep) pair of nodes. Bound per batch as leaves, they let one
     cached graph serve batches with and without constant label columns.
     """
     cov = ad.covariance(preds, labels, axis=0)
-    den = ad.sqrt(ad.mul(ad.variance(preds, axis=0), ad.variance(labels, axis=0)))
+    var = ad.mul(ad.variance(preds, axis=0), ad.variance(labels, axis=0))
     if guard_nodes is not None:
-        den = ad.add(den, guard_nodes[0])
-    rho = ad.div(cov, den)
+        var = ad.add(var, guard_nodes[0])
+    rho = ad.div(cov, ad.sqrt(var))
     if guard_nodes is not None:
         rho = ad.mul(rho, guard_nodes[1])
     return ad.sub(ad.constant(1.0), ad.reduce_mean(rho))
@@ -189,8 +151,8 @@ def pearson_loss_node(preds, labels, guard_nodes=None):
 
 def column_guards(labels):
     """(bump, keep) arrays marking constant label columns of a batch."""
-    degenerate = _constant_columns(np.asarray(labels, dtype=np.float64))
-    bump = degenerate.astype(np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    bump = np.all(labels == labels[0], axis=0).astype(np.float64)
     return bump, 1.0 - bump
 
 
@@ -205,40 +167,6 @@ def loss_node(preds, labels, loss_kind, guard_nodes=None):
     if loss_kind == "mse":
         return mse_loss_node(preds, labels)
     raise ValueError(f"unknown loss kind {loss_kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# value-level loss surfaces
-
-
-def _constant_columns(x):
-    return np.all(x == x[0], axis=0)
-
-
-def pearson_loss(preds, labels):
-    """Batch value of the correlation loss; zero-variance columns count
-    as correlation 0 (exactly)."""
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if preds.shape != labels.shape or preds.ndim != 2:
-        raise ValueError(f"shape mismatch {preds.shape} vs {labels.shape}")
-    if preds.shape[0] < 2:
-        raise ValueError("need a batch of at least 2")
-    degenerate = _constant_columns(preds) | _constant_columns(labels)
-    guards = None
-    if degenerate.any():
-        bump = degenerate.astype(np.float64)
-        guards = (ad.constant(bump), ad.constant(1.0 - bump))
-    node = pearson_loss_node(ad.constant(preds), ad.constant(labels), guards)
-    return float(ad.Graph(node).evaluate({}))
-
-
-def mse_loss(preds, labels):
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if preds.shape != labels.shape:
-        raise ValueError(f"shape mismatch {preds.shape} vs {labels.shape}")
-    return float(ad.Graph(mse_loss_node(ad.constant(preds), ad.constant(labels))).evaluate({}))
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +252,6 @@ def _assert_routing(ff1_grad, lengths, config):
     boundary = int(np.max(lengths)) * config.d_hidden
     if not np.all(ff1_grad[boundary:, :] == 0.0):
         raise AssertionError("routing contract violated: masked ff1 rows got gradient")
-
-
-def train_step(frames, lengths, labels, params, opt_state, lr, config, loss_kind="pearson"):
-    """Single Adam update on one batch (builds a fresh graph; training
-    loops should hold a BatchRunner instead)."""
-    if loss_kind == "pearson" and len(frames) < 2:
-        raise ValueError("pearson loss needs a batch of at least 2")
-    runner = BatchRunner(config, len(frames), loss_kind)
-    return runner.step(params, opt_state, frames, lengths, labels, lr)
 
 
 def predict(samples, params, config, chunk_size=64):

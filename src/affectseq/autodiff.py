@@ -10,8 +10,8 @@ enough to verify by finite differences.
 Besides elementwise, matmul, reduction and concat primitives the set
 holds `reshape` (a row-major view, for running one layer over all
 frames of a batch at once) and `gru`, a whole GRU layer over t steps
-with a hand-written backpropagation-through-time rule. The unrolled
-step-by-step composition (`aggregator.gru_chain_nodes`) is its oracle.
+with a hand-written backpropagation-through-time rule. Its oracle, the
+unrolled step-by-step composition, lives in tests/test_aggregator.py.
 
 A node's forward rule may also return saved state, which the engine
 keeps per node for the current evaluate call and hands to the backward

@@ -120,10 +120,13 @@ def cmd_gen(config):
 # train
 
 
-def _run_config_from(ck):
-    """The RunConfig stored in a checkpoint."""
+def _run_config_from(ck, context):
+    """The RunConfig stored in a checkpoint, validated like a config file."""
     names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in ck.config.items() if k in names})
+    try:
+        return RunConfig(**{k: v for k, v in ck.config.items() if k in names}).validate()
+    except ConfigError as e:
+        raise ConfigError(f"{context}: the checkpoint's stored config: {e}") from None
 
 
 def _load_kind(path, kind, context):
@@ -168,7 +171,7 @@ def _affect_parts(parts, manifest, head_checkpoint, representation):
         if not head_checkpoint:
             raise ConfigError("descriptor videos need --head-checkpoint for feature extraction")
         ck = _load_kind(head_checkpoint, "head", "--head-checkpoint")
-        head_config = _run_config_from(ck).head_config()
+        head_config = _run_config_from(ck, "--head-checkpoint").head_config()
         _check_param_shapes(ck.params, head_config.param_shapes(), "--head-checkpoint")
         _check_dims(manifest, None, head_config.d_in, "--head-checkpoint")
         parts = {
@@ -254,7 +257,7 @@ def cmd_eval(config):
     ck = load_checkpoint(config.checkpoint)
     if ck.kind not in ("aggregator", "joint"):
         raise ConfigError(f"eval needs an aggregator or joint checkpoint, got {ck.kind!r}")
-    run = _run_config_from(ck)
+    run = _run_config_from(ck, "--checkpoint")
     samples, manifest = _load_videos(config)
     _check_dims(manifest, run.t, run.d_in if ck.kind == "joint" else None, "the checkpoint")
     part = _nonempty(_split_from_config(samples, config)[config.split], config.split, config)

@@ -29,6 +29,26 @@ class ConfigError(Exception):
     pass
 
 
+def _check_type(name, value, default):
+    """Reject a value whose type differs from its field default's.
+
+    bool fields take only bools; int fields take ints but not bools;
+    float fields take ints or floats; the rest take strings, or None
+    where the default is None.
+    """
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok = isinstance(value, str) or (default is None and value is None)
+        kind = "a string" if default is not None else "a string or null"
+    if not ok:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     # bookkeeping
@@ -78,6 +98,8 @@ class RunConfig:
     epochs: int = 150
 
     def validate(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.default)
         checks = [
             (self.stage in STAGES, f"stage must be one of {STAGES}, got {self.stage!r}"),
             (self.loss in LOSSES, f"loss must be one of {LOSSES}, got {self.loss!r}"),

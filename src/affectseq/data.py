@@ -141,6 +141,14 @@ class DatasetManifest:
                 raise DatasetError(f"{where} lacks field {key!r}")
         if not isinstance(blob["recipe"], dict):
             raise DatasetError(f"{where}: field 'recipe' is not a JSON object")
+        if not isinstance(blob["kind"], str):
+            raise DatasetError(f"{where}: field 'kind' is not a string")
+        for key in ("seed", "n", "d", "t"):
+            value = blob.get(key)
+            if key == "t" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DatasetError(f"{where}: field {key!r} is not an integer")
         return cls(
             kind=blob["kind"],
             seed=blob["seed"],

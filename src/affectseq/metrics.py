@@ -35,12 +35,6 @@ def _is_constant(x):
     return bool(np.all(x == x.flat[0]))
 
 
-def pearson(x, y):
-    """Population-moment Pearson correlation; 0 when either input is constant."""
-    value, _ = pearson_flagged(x, y)
-    return value
-
-
 def pearson_flagged(x, y):
     """(pearson, degenerate) where degenerate marks a zero-variance input.
 
@@ -54,13 +48,6 @@ def pearson_flagged(x, y):
         return 0.0, True
     _, _, vx, vy, cov = _moments(x, y)
     return float(cov / np.sqrt(vx * vy)), False
-
-
-def ccc(x, y):
-    """Concordance correlation: Pearson attenuated by mean and variance
-    mismatch, 2*cov / (var_x + var_y + (mean_x - mean_y)^2)."""
-    value, _ = ccc_flagged(x, y)
-    return value
 
 
 def ccc_flagged(x, y):

@@ -1,0 +1,38 @@
+"""Helpers shared by the test modules: values of the node builders the
+training graphs compose, evaluated on constant inputs."""
+
+import numpy as np
+
+from affectseq import affect_head as head
+from affectseq import aggregator as agg
+from affectseq import autodiff as ad
+
+
+def const(x):
+    return ad.constant(np.asarray(x, dtype=np.float64))
+
+
+def scalar(node):
+    """Value of a scalar node whose leaves are all constants."""
+    return float(ad.Graph(node).evaluate({}))
+
+
+def pearson_loss(preds, labels):
+    """The correlation loss with the label-column guards a batch binds."""
+    bump, keep = agg.column_guards(labels)
+    return scalar(agg.pearson_loss_node(const(preds), const(labels), (const(bump), const(keep))))
+
+
+def va_loss(pred, label):
+    """The valence-arousal concordance loss with every row labeled."""
+    return scalar(head.weighted_va_ccc_loss_node(const(pred), const(label), np.ones(len(pred))))
+
+
+def coupling_loss(probs, targets, two_term=False):
+    return scalar(head.coupling_node(const(probs), const(targets), two_term=two_term))
+
+
+def expected_aus(expr):
+    """AU activations implied by an expression distribution: the pseudo-AU
+    targets the coupling loss pulls toward."""
+    return ad.Graph(head.pseudo_au_node(const(expr))).evaluate({})

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from affectseq import affect_head as head
 from affectseq import aggregator as agg
 from affectseq import cli, data, metrics, training
-from affectseq.affect_space import AU_IDS, EXPRESSIONS, expected_aus, relatedness_matrix
+from affectseq.affect_space import AU_IDS, EXPRESSIONS, relatedness_matrix
 from affectseq.config import build_config
 from affectseq.data import VideoRecipe, gen_video_dataset, select_columns, split
+from helpers import coupling_loss, expected_aus, pearson_loss, va_loss
 
 
 def test_c01_gradient_fidelity(tmp_path):
@@ -72,7 +72,7 @@ def test_c03_mixture_and_coupling_match_scalar_oracles():
         p = rng.uniform(1e-9, 1.0, size=17)
         t = rng.uniform(0.0, 1.0, size=17)
         loop = -sum(t[i] * math.log(max(p[i], 1e-12)) for i in range(17))
-        assert head.coupling_loss(p, t) == pytest.approx(loop, abs=1e-12)
+        assert coupling_loss(p, t) == pytest.approx(loop, abs=1e-12)
     # batch form averages the per-sample sums
     probs = rng.uniform(1e-3, 1.0, size=(10, 17))
     targets = rng.uniform(0.0, 1.0, size=(10, 17))
@@ -80,7 +80,7 @@ def test_c03_mixture_and_coupling_match_scalar_oracles():
         -sum(targets[k][i] * math.log(max(probs[k][i], 1e-12)) for i in range(17))
         for k in range(10)
     ])
-    assert head.coupling_loss(probs, targets) == pytest.approx(loop, abs=1e-12)
+    assert coupling_loss(probs, targets) == pytest.approx(loop, abs=1e-12)
 
 
 def test_c04_masking_invariants():
@@ -111,17 +111,17 @@ def test_c04_masking_invariants():
 def test_c05_loss_identities():
     rng = np.random.default_rng(505)
     labels = rng.uniform(0, 1, size=(12, 7))
-    assert agg.pearson_loss(labels, labels) == pytest.approx(0.0, abs=1e-12)
-    assert agg.pearson_loss(-labels, labels) == pytest.approx(2.0, abs=1e-12)
+    assert pearson_loss(labels, labels) == pytest.approx(0.0, abs=1e-12)
+    assert pearson_loss(-labels, labels) == pytest.approx(2.0, abs=1e-12)
     va = rng.uniform(-1, 1, size=(12, 2))
-    assert head.va_concordance_loss(va, va) == pytest.approx(0.0, abs=1e-12)
+    assert va_loss(va, va) == pytest.approx(0.0, abs=1e-12)
     for _ in range(200):
         preds = rng.normal(size=(9, 7))
         targets = rng.normal(size=(9, 7))
         a = rng.uniform(0.05, 4.0, size=7)
         b = rng.uniform(-3.0, 3.0, size=7)
-        base = agg.pearson_loss(preds, targets)
-        assert agg.pearson_loss(preds * a + b, targets) == pytest.approx(base, abs=1e-10)
+        base = pearson_loss(preds, targets)
+        assert pearson_loss(preds * a + b, targets) == pytest.approx(base, abs=1e-10)
 
 
 def test_c06_metric_loss_agreement_and_oracles():
@@ -130,8 +130,8 @@ def test_c06_metric_loss_agreement_and_oracles():
         n = int(rng.integers(3, 40))
         preds = rng.normal(size=(n, 7))
         labels = rng.normal(size=(n, 7))
-        mean_rho = np.mean([metrics.pearson(preds[:, i], labels[:, i]) for i in range(7)])
-        assert agg.pearson_loss(preds, labels) == pytest.approx(1.0 - mean_rho, abs=1e-12)
+        mean_rho = np.mean([metrics.pearson_flagged(preds[:, i], labels[:, i])[0] for i in range(7)])
+        assert pearson_loss(preds, labels) == pytest.approx(1.0 - mean_rho, abs=1e-12)
 
     def loop_pearson(x, y):
         n = len(x)
@@ -153,8 +153,10 @@ def test_c06_metric_loss_agreement_and_oracles():
         n = int(rng.integers(2, 1000))
         x = rng.normal(size=n)
         y = 0.3 * x + rng.normal(size=n)
-        assert metrics.pearson(x, y) == pytest.approx(loop_pearson(list(x), list(y)), abs=1e-10)
-        assert metrics.ccc(x, y) == pytest.approx(loop_ccc(list(x), list(y)), abs=1e-10)
+        rho, _ = metrics.pearson_flagged(x, y)
+        ccc, _ = metrics.ccc_flagged(x, y)
+        assert rho == pytest.approx(loop_pearson(list(x), list(y)), abs=1e-10)
+        assert ccc == pytest.approx(loop_ccc(list(x), list(y)), abs=1e-10)
 
 
 def test_c07_learnability_desk_preset():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from affectseq import affect_head as head
 from affectseq import autodiff as ad
 from affectseq import metrics
-from affectseq.affect_space import expected_aus, au_index, expression_index, relatedness_matrix
+from affectseq.affect_space import au_index, expression_index, relatedness_matrix
 from affectseq.data import FrameRecipe, frame_batch, gen_frame_dataset
 from affectseq.optim import adam_init
+from helpers import const, coupling_loss, scalar, va_loss
 
 CFG = head.HeadConfig(d_in=8, width=8, n_blocks=2)
 
@@ -19,19 +20,26 @@ def zero_params(config):
     return {name: np.zeros(shape) for name, shape in config.param_shapes().items()}
 
 
+def assert_in_range(out):
+    """The ranges the three activations guarantee."""
+    assert np.all(np.abs(out.va) <= 1.0), "valence-arousal outside [-1, 1]"
+    assert np.all((out.au >= 0.0) & (out.au <= 1.0)), "AU activation outside [0, 1]"
+    assert np.all(np.abs(out.expr.sum(axis=-1) - 1.0) < 1e-9), "expression sum is not 1"
+
+
 def test_forward_zero_params_hits_activation_fixed_points():
     out = head.head_forward(np.zeros(8), zero_params(CFG), CFG)
     np.testing.assert_array_equal(out.va, [0.0, 0.0])
     np.testing.assert_allclose(out.expr, np.full(7, 1 / 7))
     np.testing.assert_array_equal(out.au, np.full(17, 0.5))
-    out.validate()
+    assert_in_range(out)
 
 
 def test_forward_output_satisfies_invariants():
     rng = np.random.default_rng(0)
     params = head.init_head_params(CFG, seed=1)
     out = head.head_forward(rng.normal(size=(32, 8)), params, CFG)
-    out.validate()
+    assert_in_range(out)
     assert np.all(np.abs(out.expr.sum(axis=1) - 1.0) < 1e-9)
     assert out.concat().shape == (32, 26)
 
@@ -50,34 +58,52 @@ def test_graph_forward_matches_numeric():
 
 
 # ---------------------------------------------------------------------------
-# loss values
+# loss values: the node builders head_loss_graph composes, on constant inputs
+
+
+def concordance(x, y):
+    """CCC of two sequences through the va loss: with the pair in both
+    columns, the loss is 1 - ccc."""
+    def pair(v):
+        return np.stack([v, v], axis=1).astype(np.float64)
+    return 1.0 - va_loss(pair(x), pair(y))
+
+
+def expression_loss(probs, labels):
+    onehot = np.eye(np.shape(probs)[1])[labels]
+    return scalar(head.cross_entropy_node(const(probs), onehot))
+
+
+def au_detection_loss(probs, labels):
+    return scalar(head.binary_cross_entropy_node(const(probs), labels, np.ones(len(probs))))
 
 
 def test_concordance_identity_and_shift():
-    assert head.concordance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-    assert head.concordance([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]) == pytest.approx(4 / 7)
-    assert head.concordance([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
+    assert concordance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
+    assert concordance([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]) == pytest.approx(4 / 7)
+    assert concordance([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
 
 
 def test_concordance_agrees_with_metrics_route():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        x = rng.normal(size=20)
-        y = 0.6 * x + rng.normal(size=20)
-        assert head.concordance(x, y) == pytest.approx(metrics.ccc(x, y), abs=1e-12)
+        x = rng.normal(size=(20, 2))
+        y = 0.6 * x + rng.normal(size=(20, 2))
+        ccc = [metrics.ccc_flagged(x[:, i], y[:, i])[0] for i in range(2)]
+        assert 1.0 - va_loss(x, y) == pytest.approx(np.mean(ccc), abs=1e-12)
 
 
 def test_va_loss_perfect_predictions():
     rng = np.random.default_rng(1)
     labels = rng.uniform(-1, 1, size=(10, 2))
-    assert head.va_concordance_loss(labels, labels) == pytest.approx(0.0, abs=1e-12)
+    assert va_loss(labels, labels) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_va_loss_constant_predictions():
     rng = np.random.default_rng(2)
     labels = rng.uniform(-1, 1, size=(10, 2))
     preds = np.full((10, 2), 0.3)
-    assert head.va_concordance_loss(preds, labels) == pytest.approx(1.0, abs=1e-9)
+    assert va_loss(preds, labels) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_va_loss_half_perfect():
@@ -86,27 +112,27 @@ def test_va_loss_half_perfect():
     labels = np.stack([valence, rng.uniform(-1, 1, size=10)], axis=1)
     preds = labels.copy()
     preds[:, 1] = 0.1  # arousal constant -> its concordance is ~0
-    assert head.va_concordance_loss(preds, labels) == pytest.approx(0.5, abs=1e-9)
+    assert va_loss(preds, labels) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_expression_loss_values():
     perfect = np.zeros((3, 7))
     perfect[:, 2] = 1.0
-    assert head.expression_loss(perfect, [2, 2, 2]) == pytest.approx(0.0, abs=1e-9)
+    assert expression_loss(perfect, [2, 2, 2]) == pytest.approx(0.0, abs=1e-9)
     uniform = np.full((4, 7), 1 / 7)
-    assert head.expression_loss(uniform, [0, 3, 5, 6]) == pytest.approx(math.log(7))
+    assert expression_loss(uniform, [0, 3, 5, 6]) == pytest.approx(math.log(7))
     floor = np.full((1, 7), 1e-12)
-    assert head.expression_loss(floor, [4]) == pytest.approx(-math.log(1e-12), rel=1e-6)
+    assert expression_loss(floor, [4]) == pytest.approx(-math.log(1e-12), rel=1e-6)
 
 
 def test_au_loss_values():
     y = np.array([[1.0, 0.0, 1.0]])
     p_exact = y.copy()
-    assert head.au_detection_loss(p_exact, y) == pytest.approx(0.0, abs=1e-9)
+    assert au_detection_loss(p_exact, y) == pytest.approx(0.0, abs=1e-9)
     p_half = np.full((2, 4), 0.5)
     y_any = np.array([[1, 0, 1, 0], [0, 1, 1, 0]], dtype=float)
-    assert head.au_detection_loss(p_half, y_any) == pytest.approx(math.log(2))
-    assert head.au_detection_loss(np.array([[0.25]]), np.array([[1.0]])) == pytest.approx(math.log(4))
+    assert au_detection_loss(p_half, y_any) == pytest.approx(math.log(2))
+    assert au_detection_loss(np.array([[0.25]]), np.array([[1.0]])) == pytest.approx(math.log(4))
 
 
 def test_coupling_loss_values():
@@ -114,18 +140,18 @@ def test_coupling_loss_values():
     target[au_index(12)] = 1.0
     p = np.full(17, 0.9)
     p[au_index(12)] = 1.0 - 1e-12
-    assert head.coupling_loss(p, target) == pytest.approx(0.0, abs=1e-9)
+    assert coupling_loss(p, target) == pytest.approx(0.0, abs=1e-9)
     p[au_index(12)] = 0.5
-    assert head.coupling_loss(p, target) == pytest.approx(math.log(2))
-    assert head.coupling_loss(np.full(17, 0.2), np.zeros(17)) == 0.0
+    assert coupling_loss(p, target) == pytest.approx(math.log(2))
+    assert coupling_loss(np.full(17, 0.2), np.zeros(17)) == 0.0
 
 
 def test_coupling_loss_batch_is_mean_of_rows():
     rng = np.random.default_rng(4)
     p = rng.uniform(0.05, 0.95, size=(6, 17))
     t = rng.uniform(0.0, 1.0, size=(6, 17))
-    rows = [head.coupling_loss(p[i], t[i]) for i in range(6)]
-    assert head.coupling_loss(p, t) == pytest.approx(np.mean(rows), abs=1e-12)
+    rows = [coupling_loss(p[i], t[i]) for i in range(6)]
+    assert coupling_loss(p, t) == pytest.approx(np.mean(rows), abs=1e-12)
 
 
 def test_coupling_loss_matches_scalar_loop():
@@ -133,15 +159,15 @@ def test_coupling_loss_matches_scalar_loop():
     p = rng.uniform(0.01, 0.99, size=17)
     t = rng.uniform(0.0, 1.0, size=17)
     loop = -sum(t[i] * math.log(max(p[i], 1e-12)) for i in range(17))
-    assert head.coupling_loss(p, t) == pytest.approx(loop, abs=1e-12)
+    assert coupling_loss(p, t) == pytest.approx(loop, abs=1e-12)
 
 
 def test_two_term_coupling_adds_complement():
     rng = np.random.default_rng(6)
     p = rng.uniform(0.01, 0.99, size=17)
     t = rng.uniform(0.0, 1.0, size=17)
-    one = head.coupling_loss(p, t)
-    two = head.coupling_loss(p, t, two_term=True)
+    one = coupling_loss(p, t)
+    two = coupling_loss(p, t, two_term=True)
     comp = -sum((1 - t[i]) * math.log(max(1 - p[i], 1e-12)) for i in range(17))
     assert two == pytest.approx(one + comp, abs=1e-10)
 
@@ -149,12 +175,12 @@ def test_two_term_coupling_adds_complement():
 def test_conflict_penalty_exceeds_consistent_activation():
     # predicted happiness but sadness-only AUs active: the coupling loss
     # must punish that harder than activating the happiness AU set
-    target = expected_aus(np.eye(7)[expression_index("happiness")])
+    target = relatedness_matrix()[expression_index("happiness")]
     conflict = np.zeros(17)
     conflict[au_index(11)] = 1.0
     conflict[au_index(15)] = 1.0
     consistent = target.copy()
-    assert head.coupling_loss(conflict, target) > head.coupling_loss(consistent, target)
+    assert coupling_loss(conflict, target) > coupling_loss(consistent, target)
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,7 +194,7 @@ def test_coupling_decreases_toward_target_from_below(seed, steps):
     for alpha in np.linspace(0.0, 0.95, steps + 2):
         p = p0.copy()
         p[support] = p0[support] + alpha * (target[support] - p0[support])
-        values.append(head.coupling_loss(p, target))
+        values.append(coupling_loss(p, target))
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -195,12 +221,12 @@ def test_head_loss_terms_match_standalone_surfaces():
     result = head.head_loss(batch, params, CFG)
 
     va_rows = batch.va_mask
-    expect_ccc = head.va_concordance_loss(out.va[va_rows], batch.va[va_rows])
+    expect_ccc = va_loss(out.va[va_rows], batch.va[va_rows])
     expr_rows = batch.expr_mask
-    expect_cce = head.expression_loss(out.expr[expr_rows], batch.expr[expr_rows])
+    expect_cce = expression_loss(out.expr[expr_rows], batch.expr[expr_rows])
     au_rows = batch.au_mask
-    expect_bce = head.au_detection_loss(out.au[au_rows], batch.au[au_rows])
-    expect_coupling = head.coupling_loss(out.au, expected_aus(out.expr))
+    expect_bce = au_detection_loss(out.au[au_rows], batch.au[au_rows])
+    expect_coupling = scalar(head.coupling_node(const(out.au), head.pseudo_au_node(const(out.expr))))
 
     assert result.terms["ccc"] == pytest.approx(expect_ccc, abs=1e-12)
     assert result.terms["cce"] == pytest.approx(expect_cce, abs=1e-12)

@@ -10,6 +10,7 @@ from affectseq import autodiff as ad
 from affectseq import metrics
 from affectseq.data import VideoRecipe, gen_video_dataset, video_arrays
 from affectseq.optim import adam_init
+from helpers import const, pearson_loss, scalar
 
 SMALL = agg.AggregatorConfig(d_in=3, t=4, d_hidden=2, d_ff=3, n_out=7)
 
@@ -48,6 +49,27 @@ def loop_gru(frames, params, prefix="gru0"):
     return np.array(out)
 
 
+def gru_chain_nodes(params, layer, inputs, batch_size, d_hidden):
+    """Unrolled GRU over a list of (batch, d) nodes; returns all h nodes.
+
+    The step-by-step composition of the fused `gru` op, kept as the
+    oracle its forward values and gradients are tested against.
+    """
+    wz, uz, bz = (params[f"gru{layer}.{n}z"] for n in ("w", "u", "b"))
+    wr, ur, br = (params[f"gru{layer}.{n}r"] for n in ("w", "u", "b"))
+    wh, uh, bh = (params[f"gru{layer}.{n}h"] for n in ("w", "u", "b"))
+    h = ad.constant(np.zeros((batch_size, d_hidden)))
+    one = ad.constant(1.0)
+    out = []
+    for x in inputs:
+        u = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h, uz)), bz))
+        r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h, ur)), br))
+        c = ad.tanh(ad.add(ad.add(ad.matmul(x, wh), ad.matmul(ad.mul(r, h), uh)), bh))
+        h = ad.add(ad.mul(ad.sub(one, u), h), ad.mul(u, c))
+        out.append(h)
+    return out
+
+
 def test_gru_zero_params_stays_at_zero():
     frames = np.random.default_rng(0).normal(size=(4, 3))
     out = agg.gru_forward(frames, zero_params(SMALL))
@@ -74,7 +96,7 @@ def test_gru_graph_matches_numeric():
     frames = rng.normal(size=(2, 6, 5))
     p_nodes = {k: ad.param(k, v.shape) for k, v in params.items()}
     xs = [ad.placeholder(f"x_{k}", (2, 5)) for k in range(6)]
-    hs = agg.gru_chain_nodes(p_nodes, 0, xs, 2, 4)
+    hs = gru_chain_nodes(p_nodes, 0, xs, 2, 4)
     g = ad.Graph(ad.reduce_sum(ad.concat(hs, axis=1)))
     bindings = dict(params)
     for k in range(6):
@@ -91,7 +113,7 @@ def unrolled_nodes(config, batch_size):
     params = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
     seq = [ad.param(f"x_{k}", (batch_size, config.d_in)) for k in range(config.t)]
     for layer in range(config.gru_layers):
-        seq = agg.gru_chain_nodes(params, layer, seq, batch_size, config.d_hidden)
+        seq = gru_chain_nodes(params, layer, seq, batch_size, config.d_hidden)
     z = ad.concat(seq, axis=1)
     if config.mask_enabled:
         z = ad.mul(z, ad.placeholder("mask", (batch_size, config.t * config.d_hidden)))
@@ -147,29 +169,32 @@ def test_loss_runner_forward_equals_forward_runner():
 # masking
 
 
+def mask(z, length, d_hidden):
+    """The mask layer on one flattened embedding, as video_forward applies it."""
+    return z * agg.length_mask([length], len(z) // d_hidden, d_hidden)[0]
+
+
 def test_mask_prefix_example():
     z = np.arange(1.0, 9.0)
-    np.testing.assert_array_equal(
-        agg.mask_by_length(z, 2, d_hidden=2), [1, 2, 3, 4, 0, 0, 0, 0]
-    )
+    np.testing.assert_array_equal(mask(z, 2, d_hidden=2), [1, 2, 3, 4, 0, 0, 0, 0])
 
 
 def test_mask_full_length_is_identity():
     z = np.arange(1.0, 9.0)
-    np.testing.assert_array_equal(agg.mask_by_length(z, 4, 2), z)
+    np.testing.assert_array_equal(mask(z, 4, 2), z)
 
 
 def test_mask_length_one_keeps_first_block():
     z = np.arange(1.0, 9.0)
-    np.testing.assert_array_equal(agg.mask_by_length(z, 1, 2), [1, 2, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(mask(z, 1, 2), [1, 2, 0, 0, 0, 0, 0, 0])
 
 
 def test_mask_rejects_out_of_range_length():
     z = np.zeros(8)
     with pytest.raises(ValueError):
-        agg.mask_by_length(z, 0, 2)
+        mask(z, 0, 2)
     with pytest.raises(ValueError):
-        agg.mask_by_length(z, 5, 2)
+        mask(z, 5, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -179,11 +204,11 @@ def test_mask_idempotent_linear_projection(seed, t, d_hidden):
     length = int(rng.integers(1, t + 1))
     z = rng.normal(size=t * d_hidden)
     w = rng.normal(size=t * d_hidden)
-    once = agg.mask_by_length(z, length, d_hidden)
-    np.testing.assert_array_equal(agg.mask_by_length(once, length, d_hidden), once)
+    once = mask(z, length, d_hidden)
+    np.testing.assert_array_equal(mask(once, length, d_hidden), once)
     # linearity: M(az + bw) == a M(z) + b M(w)
-    lhs = agg.mask_by_length(2.5 * z - 1.5 * w, length, d_hidden)
-    rhs = 2.5 * once - 1.5 * agg.mask_by_length(w, length, d_hidden)
+    lhs = mask(2.5 * z - 1.5 * w, length, d_hidden)
+    rhs = 2.5 * once - 1.5 * mask(w, length, d_hidden)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -242,7 +267,7 @@ def test_two_layer_gru_config():
     assert u.shape == (7,)
     seq = agg.gru_forward(frames, params, prefix="gru0")
     seq = agg.gru_forward(seq, params, prefix="gru1")
-    z = agg.mask_by_length(seq.reshape(-1), 3, 3)
+    z = mask(seq.reshape(-1), 3, 3)
     expect = np.tanh(z @ params["ff1.w"] + params["ff1.b"]) @ params["out.w"] + params["out.b"]
     np.testing.assert_allclose(u, expect, atol=1e-13)
 
@@ -255,14 +280,18 @@ def test_sigmoid_output_flag():
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses: the node builders the batch runner composes, on constant inputs
+
+
+def mse_loss(preds, labels):
+    return scalar(agg.mse_loss_node(const(preds), const(labels)))
 
 
 def test_pearson_loss_perfect_and_negated():
     rng = np.random.default_rng(2)
     labels = rng.uniform(0, 1, size=(10, 7))
-    assert agg.pearson_loss(labels, labels) == pytest.approx(0.0, abs=1e-12)
-    assert agg.pearson_loss(-labels, labels) == pytest.approx(2.0, abs=1e-12)
+    assert pearson_loss(labels, labels) == pytest.approx(0.0, abs=1e-12)
+    assert pearson_loss(-labels, labels) == pytest.approx(2.0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -273,8 +302,8 @@ def test_pearson_loss_affine_invariant(seed):
     labels = rng.normal(size=(8, 7))
     a = rng.uniform(0.1, 3.0, size=7)
     b = rng.uniform(-2.0, 2.0, size=7)
-    base = agg.pearson_loss(preds, labels)
-    transformed = agg.pearson_loss(preds * a + b, labels)
+    base = pearson_loss(preds, labels)
+    transformed = pearson_loss(preds * a + b, labels)
     assert transformed == pytest.approx(base, abs=1e-10)
 
 
@@ -282,11 +311,30 @@ def test_pearson_loss_zero_variance_column_counts_as_zero():
     rng = np.random.default_rng(4)
     preds = rng.normal(size=(6, 7))
     labels = rng.normal(size=(6, 7))
-    preds[:, 3] = 1.25  # constant column -> correlation defined as 0
-    value = agg.pearson_loss(preds, labels)
-    rhos = [metrics.pearson(preds[:, i], labels[:, i]) for i in range(7)]
+    labels[:, 3] = 1.25  # constant column -> correlation defined as 0
+    value = pearson_loss(preds, labels)
+    rhos = [metrics.pearson_flagged(preds[:, i], labels[:, i])[0] for i in range(7)]
     assert rhos[3] == 0.0
     assert value == pytest.approx(1.0 - np.mean(rhos), abs=1e-12)
+
+
+def test_batch_runner_constant_label_column_counts_as_zero():
+    config = agg.AggregatorConfig(d_in=5, t=6, d_hidden=4, d_ff=3)
+    rng = np.random.default_rng(34)
+    frames = rng.normal(size=(5, 6, 5))
+    lengths = np.array([2, 6, 3, 5, 4])
+    labels = rng.uniform(0, 1, size=(5, 7))
+    labels[:, 2] = 0.5
+    params = random_params(config, seed=35)
+    runner = agg.BatchRunner(config, 5, "pearson")
+    preds = runner.forward(params, frames, lengths)
+    rhos = [metrics.pearson_flagged(preds[:, i], labels[:, i])[0] for i in range(7)]
+    assert rhos[2] == 0.0
+    new_params, _, value = runner.step(params, adam_init(params), frames, lengths, labels, 1e-3)
+    assert value == pytest.approx(1.0 - np.mean(rhos), abs=1e-12)
+    for name, grad in runner.graph.backward().items():
+        assert np.all(np.isfinite(grad)), name
+        assert np.all(np.isfinite(new_params[name])), name
 
 
 def test_pearson_loss_agrees_with_metrics_route():
@@ -294,23 +342,18 @@ def test_pearson_loss_agrees_with_metrics_route():
     for _ in range(100):
         preds = rng.normal(size=(9, 7))
         labels = rng.normal(size=(9, 7))
-        mean_rho = np.mean([metrics.pearson(preds[:, i], labels[:, i]) for i in range(7)])
-        assert agg.pearson_loss(preds, labels) == pytest.approx(1.0 - mean_rho, abs=1e-12)
-
-
-def test_pearson_loss_rejects_tiny_batch():
-    with pytest.raises(ValueError):
-        agg.pearson_loss(np.zeros((1, 7)), np.zeros((1, 7)))
+        mean_rho = np.mean([metrics.pearson_flagged(preds[:, i], labels[:, i])[0] for i in range(7)])
+        assert pearson_loss(preds, labels) == pytest.approx(1.0 - mean_rho, abs=1e-12)
 
 
 def test_mse_values_and_shift_contrast():
     rng = np.random.default_rng(6)
     labels = rng.uniform(0, 1, size=(5, 7))
-    assert agg.mse_loss(labels, labels) == pytest.approx(0.0)
-    assert agg.mse_loss(labels + 0.3, labels) == pytest.approx(0.09, abs=1e-12)
+    assert mse_loss(labels, labels) == pytest.approx(0.0)
+    assert mse_loss(labels + 0.3, labels) == pytest.approx(0.09, abs=1e-12)
     shifted = labels + np.linspace(0.1, 0.7, 7)
-    assert agg.pearson_loss(shifted, labels) == pytest.approx(0.0, abs=1e-10)
-    assert agg.mse_loss(shifted, labels) > 0.0
+    assert pearson_loss(shifted, labels) == pytest.approx(0.0, abs=1e-10)
+    assert mse_loss(shifted, labels) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +400,8 @@ def test_adam_moments_stay_zero_for_masked_rows():
     frames, lengths, labels = batch_of_videos(9, 4, config, l_min=2, l_max=2)
     params = random_params(config, seed=17)
     state = adam_init(params)
-    new_params, new_state, _ = agg.train_step(
-        frames, lengths, labels, params, state, 1e-3, config
-    )
+    runner = agg.BatchRunner(config, 4, "pearson")
+    new_params, new_state, _ = runner.step(params, state, frames, lengths, labels, 1e-3)
     rows = slice(2 * config.d_hidden, None)
     assert np.all(new_state.m["ff1.w"][rows] == 0.0)
     assert np.all(new_state.v["ff1.w"][rows] == 0.0)
@@ -370,7 +412,8 @@ def test_train_step_zero_lr_keeps_params():
     config = agg.AggregatorConfig(d_in=26, t=6, d_hidden=3, d_ff=2)
     frames, lengths, labels = batch_of_videos(10, 4, config)
     params = random_params(config, seed=18)
-    new_params, _, _ = agg.train_step(frames, lengths, labels, params, adam_init(params), 0.0, config)
+    runner = agg.BatchRunner(config, 4, "pearson")
+    new_params, _, _ = runner.step(params, adam_init(params), frames, lengths, labels, 0.0)
     for name in params:
         np.testing.assert_array_equal(new_params[name], params[name])
 
@@ -381,7 +424,8 @@ def test_train_step_deterministic():
     params = random_params(config, seed=19)
     results = []
     for _ in range(2):
-        p, _, value = agg.train_step(frames, lengths, labels, params, adam_init(params), 1e-3, config)
+        runner = agg.BatchRunner(config, 4, "pearson")
+        p, _, value = runner.step(params, adam_init(params), frames, lengths, labels, 1e-3)
         results.append((p, value))
     assert results[0][1] == results[1][1]
     for name in params:

@@ -47,6 +47,16 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [("t", "8"), ("mask", "no")])
+def test_config_file_field_of_wrong_type_exits_2(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: value}))
+    code = run("gen", "--config", str(bad), "--out", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+
 def test_train_zero_epochs_writes_initial_checkpoint(tmp_path):
     data_path = gen_videos(tmp_path)
     out = tmp_path / "run0"
@@ -474,6 +484,45 @@ def test_eval_checkpoint_with_bad_document_field_exits_2(tmp_path, capsys, field
     assert code == 2
     err = capsys.readouterr().err
     assert expected in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("t", "8"), ("mask", "no")])
+def test_eval_checkpoint_config_field_of_wrong_type_exits_2(tmp_path, capsys, key, value):
+    data_path = gen_videos(tmp_path, seed=30, n=8)
+    out = tmp_path / "run"
+    assert run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "0", "--out", str(out),
+    ) == 0
+    ck_path = out / "checkpoint.json"
+    blob = json.loads(ck_path.read_text())
+    blob["config"][key] = value
+    ck_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--checkpoint", str(ck_path), "--out", str(tmp_path / "e"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"stored config: {key} must be " in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [("t", "8"), ("n", True)])
+def test_manifest_field_of_wrong_type_exits_3(tmp_path, capsys, key, value):
+    data_path = gen_videos(tmp_path, seed=31, n=8)
+    manifest = Path(f"{data_path}.manifest.json")
+    blob = json.loads(manifest.read_text())
+    blob[key] = value
+    manifest.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"manifest {manifest}: field '{key}' is not an integer" in err and err.count("\n") == 1
 
 
 # Small shapes for the mismatch matrix: models read t 8 or 16 and frames

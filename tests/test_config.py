@@ -61,11 +61,25 @@ def test_invalid_json_rejected(tmp_path):
         ({"fractions": "0.5,0.5"}, "fractions"),
         ({"label_mix": "va:0.5,maybe:0.5"}, "label_mix"),
         ({"gru_layers": 3}, "gru_layers"),
+        ({"t": "8"}, "t must be an integer, got '8'"),
+        ({"t": 8.0}, "t must be an integer, got 8.0"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"mask": "no"}, "mask must be true or false, got 'no'"),
+        ({"mask": 1}, "mask must be true or false, got 1"),
+        ({"lr": "0.1"}, "lr must be a number, got '0.1'"),
+        ({"lr": False}, "lr must be a number, got False"),
+        ({"stage": 3}, "stage must be a string, got 3"),
+        ({"dataset": 7}, "dataset must be a string or null, got 7"),
     ],
 )
 def test_validation_failures(overrides, message):
     with pytest.raises(ConfigError, match=message):
         build_config(overrides=overrides)
+
+
+def test_float_fields_accept_integers():
+    config = build_config(overrides={"lr": 1, "feature_noise": 0})
+    assert (config.lr, config.feature_noise) == (1, 0)
 
 
 def test_fraction_and_mix_parsing():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affectseq import data
-from affectseq.affect_space import AU_SLICE, EXPR_SLICE, expected_aus, relatedness_matrix
+from affectseq.affect_space import AU_SLICE, EXPR_SLICE, relatedness_matrix
 
 
 def test_distribute_examples():
@@ -39,11 +39,9 @@ def test_frame_dataset_label_mix_counts():
 
 def test_zero_noise_au_labels_follow_relatedness():
     samples, _ = data.gen_frame_dataset(7, 50, data.FrameRecipe(d_in=8, noise=0.0))
+    m = relatedness_matrix()
     for s in samples:
-        onehot = np.zeros(7)
-        onehot[s.expr] = 1.0
-        expect = (expected_aus(onehot) > 0.5).astype(float)
-        np.testing.assert_array_equal(s.au, expect)
+        np.testing.assert_array_equal(s.au, m[s.expr])
 
 
 def test_zero_noise_has_no_expression_au_conflicts():
@@ -309,18 +307,26 @@ def _drop(key):
     return edit
 
 
-def _set_recipe(text):
-    blob = json.loads(text)
-    blob["recipe"] = [1, 2]
-    return json.dumps(blob)
+def _set(key, value):
+    def edit(text):
+        blob = json.loads(text)
+        blob[key] = value
+        return json.dumps(blob)
+    return edit
 
 
 @pytest.mark.parametrize("edit, expected", [
     (lambda text: text[:-5], "is not valid JSON"),
     (lambda text: "[1, 2]", "is not a JSON object"),
     *[(_drop(key), f"lacks field '{key}'") for key in ("kind", "seed", "n", "d", "recipe")],
-    (_set_recipe, "field 'recipe' is not a JSON object"),
-], ids=["non-json", "list", "no-kind", "no-seed", "no-n", "no-d", "no-recipe", "list-recipe"])
+    (_set("recipe", [1, 2]), "field 'recipe' is not a JSON object"),
+    (_set("kind", 3), "field 'kind' is not a string"),
+    (_set("seed", "1"), "field 'seed' is not an integer"),
+    (_set("n", True), "field 'n' is not an integer"),
+    (_set("d", 26.0), "field 'd' is not an integer"),
+    (_set("t", "8"), "field 't' is not an integer"),
+], ids=["non-json", "list", "no-kind", "no-seed", "no-n", "no-d", "no-recipe", "list-recipe",
+        "int-kind", "str-seed", "bool-n", "float-d", "str-t"])
 def test_malformed_manifest_names_path_and_field(tmp_path, edit, expected):
     path = tmp_path / "videos.jsonl"
     data.save_dataset(path, *_small_dataset("affect", 29))

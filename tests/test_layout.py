@@ -1,0 +1,49 @@
+"""The package ships only what the system runs.
+
+Every top-level function, class and method under src/affectseq must be
+referenced, as a name or an attribute, somewhere in src/ or perfbench/
+outside its own definition. Code reached only from tests belongs in
+tests/. Dunder methods are exempt: the language calls them.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "affectseq"
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (m for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _referenced_names(tree):
+    """Counter of every Name id and Attribute attr under `tree`."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+    return names
+
+
+def test_every_src_definition_is_used_outside_tests():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    everywhere = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _definitions(trees[path]):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if everywhere[name] == _referenced_names(node)[name]:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, "defined in src/ but used only by tests: " + ", ".join(unused)

@@ -32,12 +32,12 @@ def loop_ccc(x, y):
 
 
 def test_pearson_exact_linear():
-    assert metrics.pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert metrics.pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+    assert metrics.pearson_flagged([1, 2, 3], [2, 4, 6])[0] == pytest.approx(1.0)
+    assert metrics.pearson_flagged([1, 2, 3], [3, 2, 1])[0] == pytest.approx(-1.0)
 
 
 def test_pearson_hand_case():
-    assert metrics.pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+    assert metrics.pearson_flagged([1, 2, 3, 4], [1, 3, 2, 4])[0] == pytest.approx(0.8)
 
 
 def test_pearson_zero_variance_flagged():
@@ -47,20 +47,20 @@ def test_pearson_zero_variance_flagged():
 
 def test_pearson_rejects_short_input():
     with pytest.raises(ValueError):
-        metrics.pearson([1.0], [2.0])
+        metrics.pearson_flagged([1.0], [2.0])
 
 
 def test_ccc_identity():
-    assert metrics.ccc([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
+    assert metrics.ccc_flagged([1, 2, 3], [1, 2, 3])[0] == pytest.approx(1.0)
 
 
 def test_ccc_shifted_hand_case():
     # cov = var = 2/3 each, mean gap 1 -> 2*(2/3) / (2/3 + 2/3 + 1) = 4/7
-    assert metrics.ccc([1, 2, 3], [2, 3, 4]) == pytest.approx(4 / 7)
+    assert metrics.ccc_flagged([1, 2, 3], [2, 3, 4])[0] == pytest.approx(4 / 7)
 
 
 def test_ccc_constant_input_is_exact_zero():
-    assert metrics.ccc([1, 2, 3], [4, 4, 4]) == 0.0
+    assert metrics.ccc_flagged([1, 2, 3], [4, 4, 4])[0] == 0.0
     value, flag = metrics.ccc_flagged([2, 2, 2], [2, 2, 2])
     assert value == 0.0 and flag
 
@@ -71,8 +71,10 @@ def test_metrics_match_loop_oracles():
         n = int(rng.integers(2, 1000))
         x = rng.normal(size=n)
         y = rng.normal(size=n) + 0.5 * x
-        assert metrics.pearson(x, y) == pytest.approx(loop_pearson(list(x), list(y)), abs=1e-10)
-        assert metrics.ccc(x, y) == pytest.approx(loop_ccc(list(x), list(y)), abs=1e-10)
+        rho, _ = metrics.pearson_flagged(x, y)
+        ccc, _ = metrics.ccc_flagged(x, y)
+        assert rho == pytest.approx(loop_pearson(list(x), list(y)), abs=1e-10)
+        assert ccc == pytest.approx(loop_ccc(list(x), list(y)), abs=1e-10)
 
 
 @settings(max_examples=50, deadline=None)
@@ -82,8 +84,8 @@ def test_pair_permutation_invariance(seed, n):
     x = rng.normal(size=n)
     y = rng.normal(size=n)
     perm = rng.permutation(n)
-    assert metrics.pearson(x[perm], y[perm]) == pytest.approx(metrics.pearson(x, y), abs=1e-12)
-    assert metrics.ccc(x[perm], y[perm]) == pytest.approx(metrics.ccc(x, y), abs=1e-12)
+    for flagged in (metrics.pearson_flagged, metrics.ccc_flagged):
+        assert flagged(x[perm], y[perm])[0] == pytest.approx(flagged(x, y)[0], abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
