@@ -163,7 +163,8 @@ def coupling_node(au_probs, au_targets, two_term=False):
     """Soft-target cross entropy pulling AU activations toward the AU
     mixture implied by the expression distribution.
 
-    The one-term form is the default; `two_term` adds the complementary
+    Both inputs are (n, 17); the loss is the mean over rows of each row's
+    sum. The one-term form is the default; `two_term` adds the complementary
     (1 - target) * log(1 - p) half for comparison runs.
     """
     per = ad.mul(au_targets, ad.log(au_probs, floor=LOG_FLOOR))
@@ -173,10 +174,7 @@ def coupling_node(au_probs, au_targets, two_term=False):
             ad.log(ad.sub(ad.constant(1.0), au_probs), floor=LOG_FLOOR),
         )
         per = ad.add(per, comp)
-    summed = ad.reduce_sum(per) if len(au_probs.shape) == 1 else ad.reduce_mean(
-        ad.reduce_sum(per, axis=1)
-    )
-    return ad.scale(summed, -1.0)
+    return ad.scale(ad.reduce_mean(ad.reduce_sum(per, axis=1)), -1.0)
 
 
 def pseudo_au_node(expr):

@@ -2,29 +2,25 @@
 
 A checkpoint is a single JSON document holding every named parameter
 array with its shape, the full configuration that produced it, and a
-schema version. Schema "2" stores each parameter's ``data`` as one ASCII
-base64 string of the array's little-endian IEEE-754 float64 bytes in C
-order, so reloading reproduces every parameter bit-exactly (signed
-zeros and subnormals included) and saving costs a byte copy rather than
-a float-to-text conversion per value. The loader checks every field's
-type, the byte count against the shape, and that every value is finite;
-each failure is a ``CheckpointError`` naming the parameter and field.
+schema version. Schema "2" stores each parameter's ``data`` in the
+binary array format of ``codec`` (base64 of the little-endian float64
+bytes in C order), so reloading reproduces every parameter bit-exactly.
+The loader checks every field's type, the byte count against the shape,
+and that every value is finite; each failure is a ``CheckpointError``
+naming the parameter and field.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import atomic
+from . import atomic, codec
 
 SCHEMA_VERSION = "2"
-_DTYPE = np.dtype("<f8")
 
 
 class CheckpointError(Exception):
@@ -38,17 +34,13 @@ class Checkpoint:
     params: dict
 
 
-def _encode(arr):
-    return base64.b64encode(np.asarray(arr, dtype=_DTYPE).tobytes()).decode("ascii")
-
-
 def save_checkpoint(path, params, config, kind):
     blob = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "config": config,
         "params": {
-            name: {"shape": list(np.shape(arr)), "data": _encode(arr)}
+            name: {"shape": list(np.shape(arr)), "data": codec.encode(arr)}
             for name, arr in params.items()
         },
     }
@@ -91,26 +83,7 @@ def load_checkpoint(path):
         shape = _field(entry, "shape", at)
         if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
             raise CheckpointError(f"{at}: field 'shape' is not a list of non-negative integers")
-        params[name] = _param_data(_field(entry, "data", at), tuple(shape), at)
-    return Checkpoint(kind=kind, config=config, params=params)
-
-
-def _param_data(raw, shape, at):
-    """The base64 float64 bytes of one parameter as an owned, finite array."""
-    if not isinstance(raw, str):
-        raise CheckpointError(f"{at}: field 'data' is not a base64 string")
-    try:
-        buf = base64.b64decode(raw, validate=True)
-    except ValueError:  # binascii.Error (alphabet, padding) or non-ASCII text
-        raise CheckpointError(f"{at}: field 'data' is not valid base64") from None
-    expected = _DTYPE.itemsize * math.prod(shape)
-    if len(buf) != expected:
-        raise CheckpointError(
-            f"{at}: field 'data' holds {len(buf)} bytes, which does not match "
-            f"shape {shape} ({expected} bytes)"
+        params[name] = codec.decode(
+            _field(entry, "data", at), tuple(shape), CheckpointError, f"{at}: field 'data'"
         )
-    # astype copies, so the array owns its memory instead of viewing buf
-    data = np.frombuffer(buf, dtype=_DTYPE).reshape(shape).astype(np.float64)
-    if not np.isfinite(data).all():
-        raise CheckpointError(f"{at}: field 'data' holds a non-finite value")
-    return data
+    return Checkpoint(kind=kind, config=config, params=params)

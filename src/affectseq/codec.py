@@ -1,0 +1,48 @@
+"""The one binary array format of checkpoints and datasets.
+
+An array is stored as one ASCII base64 string of its little-endian
+IEEE-754 float64 bytes in C order; the shape travels beside it in the
+enclosing document. Decoding reproduces every value bit-exactly (signed
+zeros and subnormals included), and encoding costs a byte copy rather
+than a float-to-text conversion per value.
+"""
+
+from __future__ import annotations
+
+import base64
+import math
+
+import numpy as np
+
+_DTYPE = np.dtype("<f8")
+
+
+def encode(arr):
+    return base64.b64encode(np.asarray(arr, dtype=_DTYPE).tobytes()).decode("ascii")
+
+
+def decode(raw, shape, error, where):
+    """The array `encode` wrote, as an owned, finite C-order float64 array.
+
+    `shape` is a tuple of non-negative integers. Each failure raises
+    `error` with a message starting with `where`, the caller's name for
+    the field: not a string, not strict base64, a byte count other than
+    8 * prod(shape), or a non-finite value.
+    """
+    if not isinstance(raw, str):
+        raise error(f"{where} is not a base64 string")
+    try:
+        buf = base64.b64decode(raw, validate=True)
+    except ValueError:  # binascii.Error (alphabet, padding) or non-ASCII text
+        raise error(f"{where} is not valid base64") from None
+    expected = _DTYPE.itemsize * math.prod(shape)
+    if len(buf) != expected:
+        raise error(
+            f"{where} holds {len(buf)} bytes, which does not match "
+            f"shape {shape} ({expected} bytes)"
+        )
+    # astype copies, so the array owns its memory instead of viewing buf
+    data = np.frombuffer(buf, dtype=_DTYPE).reshape(shape).astype(np.float64)
+    if not np.isfinite(data).all():
+        raise error(f"{where} holds a non-finite value")
+    return data

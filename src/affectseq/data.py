@@ -12,6 +12,13 @@ Video labels are functions of the un-padded prefix only, and padding is
 either exact zeros or pure noise, so masking ablations measure a real
 signal. Every generator is reproducible byte-for-byte from its seed:
 each sample draws from its own spawned child stream.
+
+A dataset is stored as JSON lines, one record per sample, with a JSON
+manifest beside it. Schema "2" stores every array of a record (video
+frames and labels, frame features and the va/au labels) in the binary
+format of ``codec``; the loader takes each array's shape from the
+manifest and checks every record invariant, naming the line and field
+of the first failure.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic
+from . import atomic, codec
 from .affect_space import (
     AU_IDS,
     AU_SLICE,
@@ -39,7 +46,7 @@ from .affect_space import (
 from .affect_head import FrameBatch
 from .autodiff import np_softmax
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # Rough circumplex coordinates driving the expression mixture.
 VA_PROTOTYPES = {
@@ -132,9 +139,11 @@ class DatasetManifest:
         malformed field."""
         if not isinstance(blob, dict):
             raise DatasetError(f"{where} is not a JSON object")
-        if blob.get("schema_version") != SCHEMA_VERSION:
+        version = blob.get("schema_version")
+        if version != SCHEMA_VERSION:
             raise DatasetError(
-                f"unsupported manifest schema {blob.get('schema_version')!r} in {where}"
+                f"unsupported dataset schema {version!r} in {where} (this version reads "
+                f"{SCHEMA_VERSION!r}); re-run gen to rebuild the dataset"
             )
         for key in ("kind", "seed", "n", "d", "recipe"):
             if key not in blob:
@@ -145,10 +154,13 @@ class DatasetManifest:
             raise DatasetError(f"{where}: field 'kind' is not a string")
         for key in ("seed", "n", "d", "t"):
             value = blob.get(key)
-            if key == "t" and value is None:
+            # frame datasets have no padded length
+            if key == "t" and value is None and blob["kind"] == "frames":
                 continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DatasetError(f"{where}: field {key!r} is not an integer")
+            if value < 0:
+                raise DatasetError(f"{where}: field {key!r} is negative")
         return cls(
             kind=blob["kind"],
             seed=blob["seed"],
@@ -351,7 +363,8 @@ def gen_video_dataset(seed, n, recipe, t):
 
 
 # ---------------------------------------------------------------------------
-# storage: one JSON record per line, manifest beside the data file
+# storage: one JSON record per line, manifest beside the data file; every
+# array is a codec string whose shape the manifest gives
 
 
 def manifest_path(data_path):
@@ -365,20 +378,20 @@ def save_dataset(path, samples, manifest):
         for s in samples:
             lines.append(json.dumps({
                 "id": s.id,
-                "features": np.asarray(s.features).tolist(),
+                "features": codec.encode(s.features),
                 "labels": {
-                    "va": None if s.va is None else np.asarray(s.va).tolist(),
+                    "va": None if s.va is None else codec.encode(s.va),
                     "expr": None if s.expr is None else int(s.expr),
-                    "au": None if s.au is None else np.asarray(s.au).tolist(),
+                    "au": None if s.au is None else codec.encode(s.au),
                 },
             }, sort_keys=True))
     elif manifest.kind == "videos":
         for s in samples:
             lines.append(json.dumps({
                 "id": s.id,
-                "frames": np.asarray(s.frames).tolist(),
+                "frames": codec.encode(s.frames),
                 "length": int(s.length),
-                "label": np.asarray(s.label).tolist(),
+                "label": codec.encode(s.label),
             }, sort_keys=True))
     else:
         raise DatasetError(f"unknown dataset kind {manifest.kind!r}")
@@ -398,14 +411,11 @@ def _field(rec, key, lineno):
     return rec[key]
 
 
-def _finite_array(rec, key, lineno):
-    """A numeric record field as a float64 array; NaN and inf are rejected."""
-    try:
-        arr = np.asarray(_field(rec, key, lineno), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DatasetError(f"line {lineno}: field {key!r} is not numeric") from None
-    _check(np.all(np.isfinite(arr)), lineno, f"field {key!r} holds a non-finite value")
-    return arr
+def _array(rec, key, shape, lineno):
+    """A record's codec field as a finite float64 array of `shape`."""
+    return codec.decode(
+        _field(rec, key, lineno), shape, DatasetError, f"line {lineno}: field {key!r}"
+    )
 
 
 def _validate_affect_rows(rows, lineno):
@@ -432,13 +442,17 @@ def load_dataset(path):
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DatasetError(f"missing manifest {mpath}")
+    # files are read as bytes, so text that is not UTF-8 fails as a
+    # DatasetError naming the manifest or the line
     try:
-        blob = json.loads(mpath.read_text())
+        blob = json.loads(mpath.read_bytes())
     except json.JSONDecodeError as e:
         raise DatasetError(f"manifest {mpath} is not valid JSON: {e.msg}") from None
+    except UnicodeDecodeError:
+        raise DatasetError(f"manifest {mpath} is not UTF-8 text") from None
     manifest = DatasetManifest.from_dict(blob, where=f"manifest {mpath}")
     samples = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -447,6 +461,8 @@ def load_dataset(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"line {lineno}: malformed record ({e.msg})") from None
+            except UnicodeDecodeError:
+                raise DatasetError(f"line {lineno}: record is not UTF-8 text") from None
             if manifest.kind == "frames":
                 samples.append(_parse_frame(rec, manifest, lineno))
             else:
@@ -455,8 +471,7 @@ def load_dataset(path):
 
 
 def _parse_frame(rec, manifest, lineno):
-    features = _finite_array(rec, "features", lineno)
-    _check(features.shape == (manifest.d,), lineno, f"features shape {features.shape}")
+    features = _array(rec, "features", (manifest.d,), lineno)
     labels = _field(rec, "labels", lineno)
     _check(isinstance(labels, dict), lineno, "field 'labels' is not a JSON object")
     va = labels.get("va")
@@ -468,32 +483,23 @@ def _parse_frame(rec, manifest, lineno):
         "sample carries no labels",
     )
     if va is not None:
-        va = _finite_array(labels, "va", lineno)
-        _check(va.shape == (2,) and np.all(np.abs(va) <= 1.0), lineno, "bad va label")
+        va = _array(labels, "va", (2,), lineno)
+        _check(np.all(np.abs(va) <= 1.0), lineno, "bad va label")
     if expr is not None:
         _check(type(expr) is int and 0 <= expr < len(EXPRESSIONS), lineno, "bad expr label")
     if au is not None:
-        au = _finite_array(labels, "au", lineno)
-        _check(
-            au.shape == (len(AU_IDS),) and set(np.unique(au)) <= {0.0, 1.0},
-            lineno,
-            "bad au label (need a binary 17-vector)",
-        )
+        au = _array(labels, "au", (len(AU_IDS),), lineno)
+        _check(set(np.unique(au)) <= {0.0, 1.0}, lineno, "bad au label (need a binary 17-vector)")
     return FrameSample(id=_field(rec, "id", lineno), features=features, va=va, expr=expr, au=au)
 
 
 def _parse_video(rec, manifest, lineno):
-    frames = _finite_array(rec, "frames", lineno)
+    frames = _array(rec, "frames", (manifest.t, manifest.d), lineno)
     length = _field(rec, "length", lineno)
     _check(type(length) is int, lineno, "field 'length' is not an integer")
-    label = _finite_array(rec, "label", lineno)
-    _check(frames.shape == (manifest.t, manifest.d), lineno, f"frames shape {frames.shape}")
+    label = _array(rec, "label", (len(INTENSITY_CLASSES),), lineno)
     _check(1 <= length <= manifest.t, lineno, f"length {length} outside [1, {manifest.t}]")
-    _check(
-        label.shape == (len(INTENSITY_CLASSES),) and np.all((label >= 0) & (label <= 1)),
-        lineno,
-        "bad intensity label",
-    )
+    _check(np.all((label >= 0) & (label <= 1)), lineno, "bad intensity label")
     recipe = manifest.recipe
     if recipe.get("padding", "zeros") == "zeros" and length < manifest.t:
         _check(np.all(frames[length:] == 0.0), lineno, "padded rows are not zero")

@@ -1,4 +1,3 @@
-import base64
 import json
 import math
 
@@ -6,10 +5,7 @@ import numpy as np
 import pytest
 
 from affectseq.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-
-
-def _b64(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+from helpers import b64
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -101,9 +97,9 @@ def test_shape_mismatch_raises(tmp_path):
     # base64 data that is not, or does not decode to, four finite float64
     ("params", "w", "data", "not base64!"),
     ("params", "w", "data", "AAAA\u00e9"),
-    ("params", "w", "data", _b64([0.0, 1.0, 2.0])),
-    ("params", "w", "data", _b64([0.0, float("nan"), 0.0, 0.0])),
-    ("params", "w", "data", _b64([0.0, 0.0, float("-inf"), 0.0])),
+    ("params", "w", "data", b64([0.0, 1.0, 2.0])),
+    ("params", "w", "data", b64([0.0, float("nan"), 0.0, 0.0])),
+    ("params", "w", "data", b64([0.0, 0.0, float("-inf"), 0.0])),
 ])
 def test_malformed_document_names_field(tmp_path, drop):
     path = tmp_path / "ck.json"

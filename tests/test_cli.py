@@ -6,6 +6,7 @@ import pytest
 
 from affectseq import cli
 from affectseq.checkpoint import load_checkpoint
+from helpers import b64, unb64
 
 
 def run(*argv):
@@ -420,6 +421,25 @@ def test_manifest_missing_kind_exits_3(tmp_path, capsys):
     assert f"manifest {manifest} lacks field 'kind'" in err and err.count("\n") == 1
 
 
+def test_schema_1_manifest_exits_3(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=29, n=8)
+    manifest = Path(f"{data_path}.manifest.json")
+    blob = json.loads(manifest.read_text())
+    blob["schema_version"] = "1"
+    manifest.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: unsupported dataset schema '1' in manifest {manifest} (this version reads "
+        "'2'); re-run gen to rebuild the dataset\n"
+    )
+
+
 def test_descriptor_video_with_nan_exits_3(tmp_path, capsys):
     out = tmp_path / "desc"
     assert run(
@@ -429,7 +449,9 @@ def test_descriptor_video_with_nan_exits_3(tmp_path, capsys):
     data_path = out / "videos.jsonl"
 
     def poison(record):
-        record["frames"][0][0] = float("nan")
+        frames = unb64(record["frames"])
+        frames[0] = float("nan")
+        record["frames"] = b64(frames)
 
     _rewrite_first_record(data_path, poison)
     code = run(

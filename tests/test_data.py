@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affectseq import data
+from affectseq import cli, data
 from affectseq.affect_space import AU_SLICE, EXPR_SLICE, relatedness_matrix
+from helpers import b64, unb64
 
 
 def test_distribute_examples():
@@ -263,9 +266,9 @@ def _saved_with_edit(tmp_path, dataset, edit):
 ])
 def test_non_finite_values_rejected(tmp_path, kind, field):
     def poison(records):
-        values = np.asarray(records[1][field], dtype=float)
-        values.reshape(-1)[0] = np.inf
-        records[1][field] = values.tolist()
+        values = unb64(records[1][field])
+        values[0] = np.inf
+        records[1][field] = b64(values)
 
     path = _saved_with_edit(tmp_path, _small_dataset(kind, 26), poison)
     with pytest.raises(data.DatasetError, match=f"line 2: field '{field}' holds a non-finite"):
@@ -290,6 +293,135 @@ def test_wrongly_typed_frame_label_rejected(tmp_path, label, value):
     path = _saved_with_edit(tmp_path, _small_dataset("frames", 28), retype)
     with pytest.raises(data.DatasetError, match=f"line 1: .*{label}"):
         data.load_dataset(path)
+
+
+def _owner(record, field):
+    """(owner, key) of a record field: the frame labels sit under 'labels'."""
+    return (record["labels"], field) if field in ("va", "expr", "au") else (record, field)
+
+
+def _bad_value(case, text):
+    """A malformed replacement for the stored array string `text`."""
+    values = unb64(text)
+    if case == "list":
+        return values.tolist()
+    if case == "non-base64":
+        return "not base64!"
+    if case == "short":
+        return b64(values[:-1])
+    values[-1] = np.nan if case == "nan" else -np.inf
+    return b64(values)
+
+
+@pytest.mark.parametrize("kind,field", [
+    ("affect", "frames"), ("affect", "label"),
+    ("frames", "features"), ("frames", "va"), ("frames", "au"),
+])
+@pytest.mark.parametrize("case,expected", [
+    ("list", "is not a base64 string"),
+    ("non-base64", "is not valid base64"),
+    ("short", "bytes, which does not match shape"),
+    ("nan", "holds a non-finite value"),
+    ("-inf", "holds a non-finite value"),
+], ids=["list", "non-base64", "short", "nan", "-inf"])
+def test_malformed_array_field_names_line_and_field(tmp_path, capsys, kind, field, case,
+                                                    expected):
+    def corrupt(records):
+        owner, key = _owner(records[1], field)
+        owner[key] = _bad_value(case, owner[key])
+
+    path = _saved_with_edit(tmp_path, _small_dataset(kind, 30), corrupt)
+    named = f"line 2: field '{field}' "
+    with pytest.raises(data.DatasetError) as info:
+        data.load_dataset(path)
+    assert named in str(info.value) and expected in str(info.value)
+    stage = ("--stage", "mma") if kind == "frames" else ()
+    assert cli.main(["train", *stage, "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert named in err and expected in err and err.count("\n") == 1
+
+
+# Loader fuzz: a dataset with one mutated field or manifest integer either
+# loads or raises DatasetError; any other exception fails the test.
+
+_ARRAY_FIELDS = {"frames": ("features", "va", "au"), "videos": ("frames", "label")}
+_PLAIN_FIELDS = {"frames": ("id", "labels", "expr"), "videos": ("id", "length")}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    sources = {}
+    for kind, dataset in (("frames", _small_dataset("frames", 31)),
+                          ("videos", _small_dataset("affect", 31))):
+        path = root / f"{kind}.jsonl"
+        data.save_dataset(path, *dataset)
+        sources[kind] = (path.read_text(), data.manifest_path(path).read_text())
+    return root / "fuzzed.jsonl", sources
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(["frames", "videos"]),
+       mutation=st.sampled_from(["truncate", "replace", "retype", "manifest"]),
+       draw=st.data())
+def test_mutated_dataset_loads_or_raises_dataset_error(fuzz_sources, kind, mutation, draw):
+    path, sources = fuzz_sources
+    records = [json.loads(line) for line in sources[kind][0].splitlines()]
+    manifest = json.loads(sources[kind][1])
+    record = records[draw.draw(st.integers(0, len(records) - 1))]
+    if mutation == "manifest":
+        key = draw.draw(st.sampled_from(["seed", "n", "d", "t"]))
+        manifest[key] = draw.draw(st.none() | st.integers(-40, 40) | _JSON_VALUES)
+    elif mutation == "retype":
+        field = draw.draw(st.sampled_from(_ARRAY_FIELDS[kind] + _PLAIN_FIELDS[kind]))
+        owner, key = _owner(record, field)
+        owner[key] = draw.draw(_JSON_VALUES)
+    else:
+        owner, key = _owner(record, draw.draw(st.sampled_from(_ARRAY_FIELDS[kind])))
+        text = owner[key]
+        at = draw.draw(st.integers(0, len(text) - 1))
+        if mutation == "truncate":
+            owner[key] = text[:at]
+        else:
+            owner[key] = text[:at] + draw.draw(st.characters()) + text[at + 1:]
+    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    data.manifest_path(path).write_text(json.dumps(manifest))
+    try:
+        data.load_dataset(path)
+    except data.DatasetError:
+        pass
+
+
+@pytest.mark.parametrize("target,expected", [
+    ("records", "line 2: record is not UTF-8 text"),
+    ("manifest", "is not UTF-8 text"),
+], ids=["records", "manifest"])
+def test_non_utf8_byte_rejected(tmp_path, target, expected):
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, *_small_dataset("affect", 33))
+    victim = path if target == "records" else data.manifest_path(path)
+    lines = victim.read_bytes().split(b"\n")
+    lines[1] = lines[1][:5] + b"\xff" + lines[1][6:]
+    victim.write_bytes(b"\n".join(lines))
+    with pytest.raises(data.DatasetError, match=expected):
+        data.load_dataset(path)
+
+
+def test_manifest_width_that_misreads_frames_exits_3(tmp_path, capsys):
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, *_small_dataset("affect", 32))
+    mpath = data.manifest_path(path)
+    mpath.write_text(mpath.read_text().replace('"d": 26', '"d": 25'))
+    assert cli.main(["train", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "line 1: field 'frames' holds" in err and "shape (6, 25)" in err
+    assert err.count("\n") == 1
 
 
 def test_missing_manifest_rejected(tmp_path):
@@ -325,8 +457,10 @@ def _set(key, value):
     (_set("n", True), "field 'n' is not an integer"),
     (_set("d", 26.0), "field 'd' is not an integer"),
     (_set("t", "8"), "field 't' is not an integer"),
+    (_set("t", None), "field 't' is not an integer"),
+    (_set("d", -26), "field 'd' is negative"),
 ], ids=["non-json", "list", "no-kind", "no-seed", "no-n", "no-d", "no-recipe", "list-recipe",
-        "int-kind", "str-seed", "bool-n", "float-d", "str-t"])
+        "int-kind", "str-seed", "bool-n", "float-d", "str-t", "null-t", "negative-d"])
 def test_malformed_manifest_names_path_and_field(tmp_path, edit, expected):
     path = tmp_path / "videos.jsonl"
     data.save_dataset(path, *_small_dataset("affect", 29))
