@@ -92,10 +92,8 @@ def head_forward(features, params, config):
 
 
 def head_nodes(config, features):
-    """Differentiable twin of head_forward over a (rows, d_in) features node.
-
-    Returns (AffectOutput of nodes, param-leaf dict).
-    """
+    """Differentiable twin of head_forward over a (rows, d_in) features node;
+    returns an AffectOutput of nodes."""
     p = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
     h = ad.tanh(ad.affine(features, p["trunk.in.w"], p["trunk.in.b"]))
     for i in range(config.n_blocks):
@@ -103,7 +101,7 @@ def head_nodes(config, features):
     va = ad.tanh(ad.affine(h, p["va.w"], p["va.b"]))
     expr = ad.softmax(ad.affine(h, p["expr.w"], p["expr.b"]))
     au = ad.sigmoid(ad.affine(h, p["au.w"], p["au.b"]))
-    return AffectOutput(va=va, expr=expr, au=au), p
+    return AffectOutput(va=va, expr=expr, au=au)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def head_loss_graph(config, batch):
     batch; parameters are the only leaves.
     """
     feats = ad.constant(batch.features)
-    out, params = head_nodes(config, feats)
+    out = head_nodes(config, feats)
     term_nodes = {}
     absent = []
 

@@ -15,6 +15,10 @@ layer's weights attached to those positions receive exactly-zero
 gradients: selective weight updating falls out of the arithmetic rather
 than a bespoke sparse-update mechanism. Bias gradients are not masked;
 biases attach to neurons, not embedding positions.
+
+The Pearson loss counts a column whose predictions or labels are all
+equal as correlation zero, as the eval report does, so a batch from an
+untrained or saturated model still has a finite loss and gradient.
 """
 
 from __future__ import annotations
@@ -107,12 +111,12 @@ def video_forward(frames, length, params, config):
 
 
 def forward_nodes(config, batch_size, frames=None):
-    """Batched forward graph; returns (param leaves, frames node, u node).
+    """Batched forward graph; returns the (batch, n_out) output node u.
 
     `frames` is a (batch, t*d_in) node, row-major over (step, feature);
-    when omitted, a "frames" placeholder is created, plus a "mask"
-    placeholder when masking is enabled, so one graph serves every
-    batch of the same size. Each GRU layer is one fused `gru` node.
+    when omitted, a "frames" placeholder is created. Masking multiplies
+    by a "mask" placeholder, so one graph serves every batch of the same
+    size. Each GRU layer is one fused `gru` node.
     """
     params = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
     if frames is None:
@@ -127,33 +131,25 @@ def forward_nodes(config, batch_size, frames=None):
     u = ad.affine(z3, params["out.w"], params["out.b"])
     if config.sigmoid_output:
         u = ad.sigmoid(u)
-    return params, frames, u
+    return u
 
 
-def pearson_loss_node(preds, labels, guard_nodes=None):
+def pearson_loss_node(preds, labels):
     """1 - mean over outputs of the per-column batch Pearson correlation.
 
-    Columns whose correlation is defined as zero get the product of
-    variances bumped under the square root, so its derivative stays
-    finite, and the resulting ratio zeroed exactly through `guard_nodes`,
-    a (bump, keep) pair of nodes. Bound per batch as leaves, they let one
-    cached graph serve batches with and without constant label columns.
+    A column where predictions or labels are constant has correlation
+    zero, as in metrics.pearson_flagged: its flag bumps the product of
+    variances under the square root, so value and derivative stay
+    finite, and then zeroes the ratio exactly. The flag is computed in
+    the graph, so one cached graph serves every batch.
     """
     cov = ad.covariance(preds, labels, axis=0)
     var = ad.mul(ad.variance(preds, axis=0), ad.variance(labels, axis=0))
-    if guard_nodes is not None:
-        var = ad.add(var, guard_nodes[0])
-    rho = ad.div(cov, ad.sqrt(var))
-    if guard_nodes is not None:
-        rho = ad.mul(rho, guard_nodes[1])
-    return ad.sub(ad.constant(1.0), ad.reduce_mean(rho))
-
-
-def column_guards(labels):
-    """(bump, keep) arrays marking constant label columns of a batch."""
-    labels = np.asarray(labels, dtype=np.float64)
-    bump = np.all(labels == labels[0], axis=0).astype(np.float64)
-    return bump, 1.0 - bump
+    flag = ad.constant_columns(preds, labels)
+    one = ad.constant(1.0)
+    rho = ad.div(cov, ad.sqrt(ad.add(var, flag)))
+    rho = ad.mul(rho, ad.sub(one, flag))
+    return ad.sub(one, ad.reduce_mean(rho))
 
 
 def mse_loss_node(preds, labels):
@@ -161,9 +157,9 @@ def mse_loss_node(preds, labels):
     return ad.reduce_mean(ad.mul(diff, diff))
 
 
-def loss_node(preds, labels, loss_kind, guard_nodes=None):
+def loss_node(preds, labels, loss_kind):
     if loss_kind == "pearson":
-        return pearson_loss_node(preds, labels, guard_nodes)
+        return pearson_loss_node(preds, labels)
     if loss_kind == "mse":
         return mse_loss_node(preds, labels)
     raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -189,9 +185,7 @@ def batch_bindings(config, params, frames, lengths, labels=None, d_frame=None):
     if config.mask_enabled:
         bindings["mask"] = length_mask(lengths, config.t, config.d_hidden)
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.float64)
-        bindings["labels"] = labels
-        bindings["rho_bump"], bindings["rho_keep"] = column_guards(labels)
+        bindings["labels"] = np.asarray(labels, dtype=np.float64)
     return bindings
 
 
@@ -214,21 +208,15 @@ class BatchRunner:
             self.d_frame = head_config.d_in
             frames = ad.placeholder("frames", (batch_size, config.t * head_config.d_in))
             rows = ad.reshape(frames, (batch_size * config.t, head_config.d_in))
-            out, _ = head_nodes(head_config, rows)
+            out = head_nodes(head_config, rows)
             affect = ad.concat([out.va, out.expr, out.au], axis=1)
             seq = ad.reshape(affect, (batch_size, config.t * config.d_in))
-        _, _, self.u = forward_nodes(config, batch_size, seq)
+        self.u = forward_nodes(config, batch_size, seq)
         self.forward_graph = ad.Graph(self.u)
         self.graph = self.forward_graph
         if loss_kind is not None:
             labels = ad.placeholder("labels", (batch_size, config.n_out))
-            guards = None
-            if loss_kind == "pearson":
-                guards = (
-                    ad.placeholder("rho_bump", (config.n_out,)),
-                    ad.placeholder("rho_keep", (config.n_out,)),
-                )
-            self.graph = ad.Graph(loss_node(self.u, labels, loss_kind, guard_nodes=guards))
+            self.graph = ad.Graph(loss_node(self.u, labels, loss_kind))
 
     def forward(self, params, frames, lengths):
         bindings = batch_bindings(self.config, params, frames, lengths, d_frame=self.d_frame)

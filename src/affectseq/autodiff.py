@@ -12,6 +12,8 @@ holds `reshape` (a row-major view, for running one layer over all
 frames of a batch at once) and `gru`, a whole GRU layer over t steps
 with a hand-written backpropagation-through-time rule. Its oracle, the
 unrolled step-by-step composition, lives in tests/test_aggregator.py.
+One primitive has no gradient: `constant_columns`, a 0/1 flag that is
+piecewise constant in its operands, so backward passes nothing through it.
 
 A node's forward rule may also return saved state, which the engine
 keeps per node for the current evaluate call and hands to the backward
@@ -205,6 +207,18 @@ def covariance(a, b, axis=None):
     return Node("covariance", _reduced_shape(a, axis, "covariance"), (a, b), axis=axis)
 
 
+def constant_columns(a, b):
+    """1.0 for each column where `a` or `b` holds a single value, else 0.0.
+
+    Constancy is exact equality, as in metrics.pearson_flagged. The flag
+    has no gradient: backward stops at it.
+    """
+    a, b = _lift(a), _lift(b)
+    if len(a.shape) != 2 or a.shape != b.shape:
+        raise GraphError(f"constant_columns: need equal 2-d shapes, got {a.shape} and {b.shape}")
+    return Node("constant_columns", (a.shape[1],), (a, b))
+
+
 def concat(nodes, axis=0):
     nodes = tuple(_lift(n) for n in nodes)
     if not nodes:
@@ -396,6 +410,9 @@ _FORWARD = {
         _centered(a, n.attrs["axis"]) * _centered(b, n.attrs["axis"]),
         axis=n.attrs["axis"],
     ),
+    "constant_columns": lambda n, a, b: (
+        np.all(a == a[0], axis=0) | np.all(b == b[0], axis=0)
+    ).astype(np.float64),
     "concat": lambda n, *parts: np.concatenate(parts, axis=n.attrs["axis"]),
     "reshape": lambda n, a: a.reshape(n.shape),
     "gru": _fw_gru,
@@ -514,6 +531,9 @@ _BACKWARD = {
 # ops whose backward rule reads the cached output, not just the inputs
 _NEEDS_OUTPUT = {"tanh", "sigmoid", "softmax", "sqrt"}
 
+# ops backward does not pass through: the leaves, and the gradient-free flag
+_NO_BACKWARD = {"param", "input", "const", "constant_columns"}
+
 
 def _toposort(root):
     order, seen, stack = [], set(), [(root, False)]
@@ -610,7 +630,7 @@ class Graph:
         values = self._values
         grads = {id(self.root): np.ones((), dtype=np.float64)}
         for node in reversed(self.order):
-            if node.op in ("param", "input", "const"):
+            if node.op in _NO_BACKWARD:
                 continue
             g = grads.pop(id(node), None)
             if g is None:

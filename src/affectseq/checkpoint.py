@@ -61,9 +61,11 @@ def load_checkpoint(path):
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
     try:
-        blob = json.loads(path.read_text())
+        blob = json.loads(path.read_bytes())
     except json.JSONDecodeError as e:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {e.msg}") from None
+    except UnicodeDecodeError:
+        raise CheckpointError(f"checkpoint {path} is not UTF-8 text") from None
     where = f"checkpoint {path}"
     version = _field(blob, "schema_version", where)
     if version != SCHEMA_VERSION:

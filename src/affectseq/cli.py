@@ -275,7 +275,7 @@ def cmd_eval(config):
         _check_param_shapes(ap, agg_config.param_shapes(), "eval")
         preds = training.joint_predict(part, hp, head_config, ap, agg_config)
     labels = np.asarray([s.label for s in part])
-    report = metrics.evaluate(preds, labels, "intensity")
+    report = metrics.evaluate(preds, labels)
     atomic.write_text(out / "report.json", report.to_json() + "\n")
     atomic.write_text(out / "report.csv", report.to_csv())
     for name, value in report.per_class.items():
@@ -288,13 +288,9 @@ def cmd_eval(config):
 # gradcheck
 
 
-def cmd_gradcheck(config, epsilon=1e-6, inject_fault=False):
+def cmd_gradcheck(config, epsilon):
     out = _out_dir(config)
-    if inject_fault:
-        with verification.corrupted_backward():
-            reports, failures, elapsed = verification.run_all(epsilon=epsilon)
-    else:
-        reports, failures, elapsed = verification.run_all(epsilon=epsilon)
+    reports, failures, elapsed = verification.run_all(epsilon=epsilon)
     blob = {
         "schema_version": "1",
         "epsilon": epsilon,
@@ -410,8 +406,6 @@ def build_parser():
         _add_config_flags(cmd)
         if name == "gradcheck":
             cmd.add_argument("--epsilon", type=float, default=1e-6)
-            cmd.add_argument("--inject-fault", action="store_true",
-                             help="corrupt one backward rule (self-test hook)")
     return parser
 
 
@@ -427,7 +421,7 @@ def main(argv=None):
         if args.command == "eval":
             return cmd_eval(config)
         if args.command == "gradcheck":
-            return cmd_gradcheck(config, epsilon=args.epsilon, inject_fault=args.inject_fault)
+            return cmd_gradcheck(config, args.epsilon)
         if args.command == "ablate":
             return cmd_ablate(config)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -247,9 +247,11 @@ def load_config_file(path):
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        blob = json.loads(path.read_text())
+        blob = json.loads(path.read_bytes())
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e.msg}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     if not isinstance(blob, dict):
         raise ConfigError("config file must hold a JSON object")
     blob.pop("schema_version", None)
@@ -259,10 +261,10 @@ def load_config_file(path):
     return blob
 
 
-def build_config(preset=None, config_file=None, overrides=None):
+def build_config(config_file=None, overrides=None):
     """Assemble and validate a RunConfig from the four precedence layers."""
     values = {}
-    preset = preset or (overrides or {}).get("preset")
+    preset = (overrides or {}).get("preset")
     file_blob = {}
     if config_file is not None:
         file_blob = load_config_file(config_file)

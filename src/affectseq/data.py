@@ -297,16 +297,8 @@ def _affect_trajectory(rng, length, recipe):
     return np.concatenate([va_obs, weights, au], axis=1)
 
 
-def _noise_affect_rows(rng, k, recipe):
-    # padding noise is a decoy trajectory: statistically shaped like real
-    # content but independent of the label, so a model that consumes
-    # padded positions is genuinely misled rather than just averaging
-    # over white noise
-    return _affect_trajectory(rng, k, recipe)
-
-
 def pad_sequence(frames, t):
-    """Append zero rows up to length t; returns (padded, recorded length).
+    """Append zero rows up to length t.
 
     Truncation is deliberately not offered: longer-than-t input is an
     error, as is an empty clip.
@@ -319,7 +311,7 @@ def pad_sequence(frames, t):
         raise DatasetError(f"clip length {length} exceeds t={t}; truncation unsupported")
     padded = np.zeros((t, frames.shape[1]))
     padded[:length] = frames
-    return padded, length
+    return padded
 
 
 def gen_video_dataset(seed, n, recipe, t):
@@ -342,9 +334,13 @@ def gen_video_dataset(seed, n, recipe, t):
         length = int(rng.integers(recipe.l_min, recipe.l_max + 1))
         affect = _affect_trajectory(rng, length, recipe)
         label = video_label(affect, length)
-        padded, _ = pad_sequence(affect, t)
+        padded = pad_sequence(affect, t)
         if recipe.padding == "noise" and length < t:
-            padded[length:] = _noise_affect_rows(rng, t - length, recipe)
+            # padding noise is a decoy trajectory: statistically shaped like
+            # real content but independent of the label, so a model that
+            # consumes padded positions is genuinely misled rather than just
+            # averaging over white noise
+            padded[length:] = _affect_trajectory(rng, t - length, recipe)
         if recipe.feature_kind == "descriptor":
             emitted = padded @ lift
             emitted[:length] += recipe.feature_noise * 0.1 * rng.normal(
@@ -467,6 +463,8 @@ def load_dataset(path):
                 samples.append(_parse_frame(rec, manifest, lineno))
             else:
                 samples.append(_parse_video(rec, manifest, lineno))
+    if len(samples) != manifest.n:
+        raise DatasetError(f"manifest n is {manifest.n} but {path} holds {len(samples)} records")
     return samples, manifest
 
 

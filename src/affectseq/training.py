@@ -51,7 +51,7 @@ def _copy_params(params):
 
 
 def mean_correlation(preds, labels):
-    return metrics.evaluate(preds, labels, "intensity").mean
+    return metrics.evaluate(preds, labels).mean
 
 
 def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,

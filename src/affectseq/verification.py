@@ -4,17 +4,15 @@ Each target builds a scalar graph whose parameters total at least 100
 coordinates and whose gradient magnitudes stay well clear of rounding
 noise, then compares analytic gradients against central differences.
 Layer targets contract the layer output with a fixed random cotangent
-so every output coordinate influences the scalar root.
-
-A deliberate fault hook (`corrupted_backward`) swaps in a wrong tanh
-rule so the failure path of the checker itself stays tested.
+so every output coordinate influences the scalar root. The checker's
+own failure path is tested by swapping in a wrong backward rule from
+tests/test_cli.py.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -100,7 +98,7 @@ def target_trunk(rng):
 
 def _head_output_target(rng, which, seed):
     config = head.HeadConfig(d_in=8, width=8, n_blocks=2)
-    out, _ = head.head_nodes(config, ad.constant(rng.normal(size=(6, 8))))
+    out = head.head_nodes(config, ad.constant(rng.normal(size=(6, 8))))
     node = getattr(out, which)
     return ad.Graph(_cotangent_sum(node, rng)), head.init_head_params(config, seed=seed)
 
@@ -205,17 +203,6 @@ TARGETS = {
     "model_aggregator_mse": target_aggregator_mse,
     "model_aggregator_pearson": target_aggregator_pearson,
 }
-
-
-@contextmanager
-def corrupted_backward():
-    """Swap in a wrong tanh rule; lets tests exercise the failure path."""
-    original = ad._BACKWARD["tanh"]
-    ad._BACKWARD["tanh"] = lambda n, g, x, y: (g * (1.0 - 0.9 * y * y),)
-    try:
-        yield
-    finally:
-        ad._BACKWARD["tanh"] = original
 
 
 def run_all(epsilon=EPSILON, n_coords=N_COORDS, seed=0, threshold=THRESHOLD):

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: values of the node builders the
-training graphs compose, evaluated on constant inputs, and a second,
+training graphs compose, evaluated on constant inputs, the concordance
+oracle the valence-arousal loss is checked against, and a second,
 independent implementation of the stored array format."""
 
 import base64
@@ -9,6 +10,7 @@ import numpy as np
 from affectseq import affect_head as head
 from affectseq import aggregator as agg
 from affectseq import autodiff as ad
+from affectseq import metrics
 
 
 def const(x):
@@ -21,14 +23,29 @@ def scalar(node):
 
 
 def pearson_loss(preds, labels):
-    """The correlation loss with the label-column guards a batch binds."""
-    bump, keep = agg.column_guards(labels)
-    return scalar(agg.pearson_loss_node(const(preds), const(labels), (const(bump), const(keep))))
+    return scalar(agg.pearson_loss_node(const(preds), const(labels)))
 
 
 def va_loss(pred, label):
     """The valence-arousal concordance loss with every row labeled."""
     return scalar(head.weighted_va_ccc_loss_node(const(pred), const(label), np.ones(len(pred))))
+
+
+def ccc_flagged(x, y):
+    """(ccc, degenerate); degenerate marks a zero denominator, which
+    happens exactly when both inputs are constant with equal values."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    cx, cy = metrics._is_constant(x), metrics._is_constant(y)
+    if cx and cy:
+        metrics._moments(x, y)
+        return 0.0, x.flat[0] == y.flat[0]
+    if cx or cy:
+        metrics._moments(x, y)  # covariance with a constant input is exactly zero
+        return 0.0, False
+    mx, my, vx, vy, cov = metrics._moments(x, y)
+    denom = vx + vy + (mx - my) ** 2
+    return float(2.0 * cov / denom), False
 
 
 def coupling_loss(probs, targets, two_term=False):

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from affectseq import affect_head as head
 from affectseq import autodiff as ad
-from affectseq import metrics
 from affectseq.affect_space import au_index, expression_index, relatedness_matrix
 from affectseq.data import FrameRecipe, frame_batch, gen_frame_dataset
 from affectseq.optim import adam_init
-from helpers import const, coupling_loss, scalar, va_loss
+from helpers import ccc_flagged, const, coupling_loss, scalar, va_loss
 
 CFG = head.HeadConfig(d_in=8, width=8, n_blocks=2)
 
@@ -49,7 +48,7 @@ def test_graph_forward_matches_numeric():
     params = head.init_head_params(CFG, seed=2)
     feats = rng.normal(size=(5, 8))
     numeric = head.head_forward(feats, params, CFG)
-    out_nodes, _ = head.head_nodes(CFG, ad.constant(feats))
+    out_nodes = head.head_nodes(CFG, ad.constant(feats))
     g = ad.Graph(ad.reduce_sum(ad.concat([out_nodes.va, out_nodes.expr, out_nodes.au], axis=1)))
     g.evaluate(params)
     np.testing.assert_allclose(g.cached_value(out_nodes.va), numeric.va, atol=1e-14)
@@ -89,7 +88,7 @@ def test_concordance_agrees_with_metrics_route():
     for _ in range(50):
         x = rng.normal(size=(20, 2))
         y = 0.6 * x + rng.normal(size=(20, 2))
-        ccc = [metrics.ccc_flagged(x[:, i], y[:, i])[0] for i in range(2)]
+        ccc = [ccc_flagged(x[:, i], y[:, i])[0] for i in range(2)]
         assert 1.0 - va_loss(x, y) == pytest.approx(np.mean(ccc), abs=1e-12)
 
 

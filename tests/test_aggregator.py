@@ -139,7 +139,7 @@ def test_fused_gru_matches_unrolled_oracle(mask_enabled, gru_layers):
         bindings[f"x_{k}"] = frames[:, k, :]
     cotangent = ad.constant(rng.normal(size=(3, config.n_out)))
 
-    _, _, fused_u = agg.forward_nodes(config, 3, ad.param("frames", (3, 7 * 5)))
+    fused_u = agg.forward_nodes(config, 3, ad.param("frames", (3, 7 * 5)))
     oracle_u = unrolled_nodes(config, 3)
     fused = ad.Graph(ad.reduce_sum(ad.mul(fused_u, cotangent)))
     oracle = ad.Graph(ad.reduce_sum(ad.mul(oracle_u, cotangent)))
@@ -312,9 +312,10 @@ def test_pearson_loss_zero_variance_column_counts_as_zero():
     preds = rng.normal(size=(6, 7))
     labels = rng.normal(size=(6, 7))
     labels[:, 3] = 1.25  # constant column -> correlation defined as 0
+    preds[:, 5] = -0.5  # on either side
     value = pearson_loss(preds, labels)
     rhos = [metrics.pearson_flagged(preds[:, i], labels[:, i])[0] for i in range(7)]
-    assert rhos[3] == 0.0
+    assert rhos[3] == 0.0 and rhos[5] == 0.0
     assert value == pytest.approx(1.0 - np.mean(rhos), abs=1e-12)
 
 
@@ -335,6 +336,22 @@ def test_batch_runner_constant_label_column_counts_as_zero():
     for name, grad in runner.graph.backward().items():
         assert np.all(np.isfinite(grad)), name
         assert np.all(np.isfinite(new_params[name])), name
+
+
+def test_batch_runner_constant_prediction_columns_count_as_zero():
+    # zero parameters predict the same value for every video in every
+    # column: each correlation is defined as zero, so the loss is 1
+    config = agg.AggregatorConfig(d_in=5, t=6, d_hidden=4, d_ff=3)
+    rng = np.random.default_rng(36)
+    frames = rng.normal(size=(4, 6, 5))
+    lengths = np.array([2, 6, 3, 5])
+    labels = rng.uniform(0, 1, size=(4, 7))
+    params = {k: np.zeros_like(v) for k, v in random_params(config, seed=37).items()}
+    runner = agg.BatchRunner(config, 4, "pearson")
+    new_params, _, value = runner.step(params, adam_init(params), frames, lengths, labels, 1e-3)
+    assert value == 1.0
+    for name, p in new_params.items():
+        assert np.all(np.isfinite(p)), name
 
 
 def test_pearson_loss_agrees_with_metrics_route():
@@ -372,7 +389,7 @@ def test_routing_gradient_rows_exactly_zero():
     frames, lengths, labels = batch_of_videos(7, 6, config, l_min=2, l_max=5)
     params = random_params(config, seed=15)
     labels_node = ad.placeholder("labels", (6, 7))
-    p_nodes, xs, u = agg.forward_nodes(config, 6)
+    u = agg.forward_nodes(config, 6)
     graph = ad.Graph(agg.pearson_loss_node(u, labels_node))
     bindings = agg.batch_bindings(config, params, frames, lengths, labels)
     graph.evaluate(bindings)

@@ -1,11 +1,15 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from affectseq import autodiff as ad
 from affectseq import cli
 from affectseq.checkpoint import load_checkpoint
+from affectseq.config import RunConfig
 from helpers import b64, unb64
 
 
@@ -56,6 +60,24 @@ def test_config_file_field_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"epochs": 3, "out": "\xff"}')
+    code = run("gen", "--config", str(bad), "--out", str(tmp_path / "x"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config file {bad} is not UTF-8 text\n"
+
+
+def test_every_subcommand_takes_exactly_the_config_flags():
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    config_flags = {"--config"} | {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+    for name, sub in subcommands.choices.items():
+        flags = {a.option_strings[0] for a in sub._actions if a.dest != "help"}
+        assert flags == config_flags | ({"--epsilon"} if name == "gradcheck" else set()), name
 
 
 def test_train_zero_epochs_writes_initial_checkpoint(tmp_path):
@@ -211,8 +233,10 @@ def test_gradcheck_passes_and_writes_report(tmp_path, capsys):
     assert set(blob["targets"]) >= {"loss_ccc", "loss_pearson", "layer_gru", "layer_mask"}
 
 
-def test_gradcheck_fault_injection_fails(tmp_path, capsys):
-    code = run("gradcheck", "--out", str(tmp_path / "gc"), "--inject-fault")
+def test_gradcheck_fault_injection_fails(tmp_path, capsys, monkeypatch):
+    # a wrong tanh rule: the checker itself must report the failure
+    monkeypatch.setitem(ad._BACKWARD, "tanh", lambda n, g, x, y: (g * (1.0 - 0.9 * y * y),))
+    code = run("gradcheck", "--out", str(tmp_path / "gc"))
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL" in captured.err
@@ -506,6 +530,26 @@ def test_eval_checkpoint_with_bad_document_field_exits_2(tmp_path, capsys, field
     assert code == 2
     err = capsys.readouterr().err
     assert expected in err and err.count("\n") == 1
+
+
+def test_eval_non_utf8_checkpoint_exits_2(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=31, n=8)
+    out = tmp_path / "run"
+    assert run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "0", "--out", str(out),
+    ) == 0
+    ck_path = out / "checkpoint.json"
+    raw = bytearray(ck_path.read_bytes())
+    raw[raw.index(b'"kind"') + 1] = 0xFF
+    ck_path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = run(
+        "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--checkpoint", str(ck_path), "--out", str(tmp_path / "e"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: checkpoint {ck_path} is not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("key, value", [("t", "8"), ("mask", "no")])

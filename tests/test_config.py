@@ -12,16 +12,16 @@ def test_defaults_validate():
 
 
 def test_presets_apply():
-    desk = build_config(preset="desk")
+    desk = build_config(overrides={"preset": "desk"})
     assert (desk.t, desk.d_hidden, desk.d_ff, desk.batch_size) == (32, 16, 8, 16)
-    paper = build_config(preset="paper")
+    paper = build_config(overrides={"preset": "paper"})
     assert (paper.t, paper.d_hidden, paper.d_ff, paper.batch_size) == (480, 128, 32, 4)
     assert paper.lr == pytest.approx(1e-4)
 
 
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError, match="unknown preset"):
-        build_config(preset="galaxy")
+        build_config(overrides={"preset": "galaxy"})
 
 
 def test_file_overrides_preset_and_flags_override_file(tmp_path):
@@ -89,7 +89,7 @@ def test_fraction_and_mix_parsing():
 
 
 def test_echo_writes_effective_config(tmp_path):
-    config = build_config(preset="desk")
+    config = build_config(overrides={"preset": "desk"})
     config.echo(tmp_path)
     blob = json.loads((tmp_path / "effective_config.json").read_text())
     assert blob["schema_version"] == "1"
@@ -100,7 +100,7 @@ def test_echo_writes_effective_config(tmp_path):
 
 
 def test_derived_component_configs():
-    config = build_config(preset="desk", overrides={"representation": "va+au"})
+    config = build_config(overrides={"preset": "desk", "representation": "va+au"})
     agg_config = config.aggregator_config()
     assert agg_config.d_in == 19
     assert agg_config.t == 32

@@ -62,16 +62,14 @@ def test_zero_noise_has_no_expression_au_conflicts():
 
 def test_pad_sequence_appends_zero_rows():
     frames = np.ones((3, 4))
-    padded, length = data.pad_sequence(frames, 5)
-    assert length == 3
+    padded = data.pad_sequence(frames, 5)
     np.testing.assert_array_equal(padded[:3], frames)
     np.testing.assert_array_equal(padded[3:], np.zeros((2, 4)))
 
 
 def test_pad_sequence_identity_at_full_length():
     frames = np.random.default_rng(0).normal(size=(4, 2))
-    padded, length = data.pad_sequence(frames, 4)
-    assert length == 4
+    padded = data.pad_sequence(frames, 4)
     np.testing.assert_array_equal(padded, frames)
 
 
@@ -411,6 +409,15 @@ def test_non_utf8_byte_rejected(tmp_path, target, expected):
     victim.write_bytes(b"\n".join(lines))
     with pytest.raises(data.DatasetError, match=expected):
         data.load_dataset(path)
+
+
+def test_dataset_missing_records_exits_3(tmp_path, capsys):
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, *data.gen_video_dataset(34, 16, data.VideoRecipe(), 32))
+    path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+    assert cli.main(["train", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: manifest n is 16 but {path} holds 1 records\n"
 
 
 def test_manifest_width_that_misreads_frames_exits_3(tmp_path, capsys):
