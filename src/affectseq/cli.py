@@ -12,17 +12,15 @@ for eval. train and ablate check the dataset's t and frame width
 against the config, eval against the checkpoint, and a head's input
 width against the descriptor videos; a mismatch exits 2.
 
-The only environment override is AFFECTSEQ_THREADS, which parallelizes
-the ablation sweep across worker processes.
+There is no environment override: the config alone decides a run, so
+the echoed effective_config.json describes all of it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -32,7 +30,7 @@ from . import aggregator as agg
 from . import atomic, data, metrics, training, verification
 from .autodiff import GraphError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, build_config
+from .config import ConfigError, RunConfig, build_config, check_schema_version
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -124,6 +122,7 @@ def _run_config_from(ck, context):
     """The RunConfig stored in a checkpoint, validated like a config file."""
     names = {f.name for f in fields(RunConfig)}
     try:
+        check_schema_version(ck.config)
         return RunConfig(**{k: v for k, v in ck.config.items() if k in names}).validate()
     except ConfigError as e:
         raise ConfigError(f"{context}: the checkpoint's stored config: {e}") from None
@@ -323,30 +322,7 @@ def cmd_gradcheck(config, epsilon):
 # ablate
 
 
-def _ablate_variant(args):
-    (subset, mask_on, loss_kind, train_samples, val_samples, config_blob) = args
-    config = RunConfig(**config_blob)
-    agg_config = replace(config, representation=subset, mask=mask_on).aggregator_config()
-    outcome = training.train_aggregator(
-        data.select_columns(train_samples, subset), data.select_columns(val_samples, subset),
-        agg_config,
-        epochs=config.epochs, batch_size=config.batch_size,
-        lr=config.lr, loss_kind=loss_kind, seed=config.seed,
-    )
-    return {
-        "representation": subset,
-        "mask": "on" if mask_on else "off",
-        "loss": loss_kind,
-        "val_mean_rho_percent": f"{100.0 * outcome.best_metric:.2f}",
-    }
-
-
 def cmd_ablate(config):
-    raw = os.environ.get("AFFECTSEQ_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"AFFECTSEQ_THREADS must be an integer, got {raw!r}") from None
     out = _out_dir(config)
     samples, manifest = _load_videos(config)
     if manifest.d != 26 or manifest.recipe.get("feature_kind", "affect") != "affect":
@@ -354,29 +330,24 @@ def cmd_ablate(config):
     _check_dims(manifest, config.t, None, "the config")
     parts = _split_from_config(samples, config)
     _nonempty(parts["train"], "train", config)
-    config_blob = config.to_dict()
-    config_blob.pop("schema_version", None)
-    variants = [
-        (subset, mask_on, loss_kind, parts["train"], parts["val"], config_blob)
-        for subset in SUBSET_ORDER
-        for mask_on in (True, False)
-        for loss_kind in ("pearson", "mse")
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_ablate_variant, variants))
-    else:
-        rows = [_ablate_variant(v) for v in variants]
 
-    header = ("representation", "mask", "loss", "val_mean_rho_percent")
-    csv_lines = ["schema_version,1", ",".join(header)]
+    csv_lines = ["schema_version,1", "representation,mask,loss,val_mean_rho_percent"]
     txt_lines = [f"{'representation':<10s} {'mask':<5s} {'loss':<8s} {'mean rho (%)':>12s}"]
-    for row in rows:
-        csv_lines.append(",".join(row[h] for h in header))
-        txt_lines.append(
-            f"{row['representation']:<10s} {row['mask']:<5s} {row['loss']:<8s} "
-            f"{row['val_mean_rho_percent']:>12s}"
-        )
+    for subset in SUBSET_ORDER:
+        train = data.select_columns(parts["train"], subset)
+        val = data.select_columns(parts["val"], subset)
+        for mask_on in (True, False):
+            agg_config = replace(config, representation=subset, mask=mask_on).aggregator_config()
+            for loss_kind in ("pearson", "mse"):
+                outcome = training.train_aggregator(
+                    train, val, agg_config,
+                    epochs=config.epochs, batch_size=config.batch_size,
+                    lr=config.lr, loss_kind=loss_kind, seed=config.seed,
+                )
+                mask = "on" if mask_on else "off"
+                rho = f"{100.0 * outcome.best_metric:.2f}"
+                csv_lines.append(f"{subset},{mask},{loss_kind},{rho}")
+                txt_lines.append(f"{subset:<10s} {mask:<5s} {loss_kind:<8s} {rho:>12s}")
     atomic.write_text(out / "ablation.csv", "\n".join(csv_lines) + "\n")
     atomic.write_text(out / "ablation.txt", "\n".join(txt_lines) + "\n")
     print("\n".join(txt_lines))

@@ -9,6 +9,7 @@ output directory so a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -47,6 +48,14 @@ def _check_type(name, value, default):
         kind = "a string" if default is not None else "a string or null"
     if not ok:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _finite(value):
+    """False for NaN, an infinity, or an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -99,8 +108,12 @@ class RunConfig:
 
     def validate(self):
         for f in fields(self):
-            _check_type(f.name, getattr(self, f.name), f.default)
+            value = getattr(self, f.name)
+            _check_type(f.name, value, f.default)
+            if isinstance(f.default, float) and not _finite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         checks = [
+            (self.seed >= 0, "seed must be >= 0"),
             (self.stage in STAGES, f"stage must be one of {STAGES}, got {self.stage!r}"),
             (self.loss in LOSSES, f"loss must be one of {LOSSES}, got {self.loss!r}"),
             (
@@ -125,6 +138,7 @@ class RunConfig:
                 "pearson loss needs batch_size >= 2",
             ),
             (self.lr >= 0.0, "lr must be >= 0"),
+            (self.temperature > 0.0, "temperature must be > 0"),
             (self.epochs >= 0, "epochs must be >= 0"),
         ]
         for ok, message in checks:
@@ -139,8 +153,9 @@ class RunConfig:
             parts = tuple(float(p) for p in self.fractions.split(","))
         except ValueError:
             raise ConfigError(f"unparseable fractions {self.fractions!r}") from None
-        if len(parts) != 3 or any(p < 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
-            raise ConfigError("fractions must be 3 nonnegative values summing to 1")
+        if (len(parts) != 3 or not all(_finite(p) and p >= 0 for p in parts)
+                or abs(sum(parts) - 1.0) > 1e-9):
+            raise ConfigError("fractions must be 3 finite nonnegative values summing to 1")
         return parts
 
     def parse_label_mix(self):
@@ -153,8 +168,9 @@ class RunConfig:
             raise ConfigError(f"unparseable label_mix {self.label_mix!r}") from None
         if any(kind not in LABEL_KINDS for kind, _ in mix):
             raise ConfigError(f"label_mix kinds must be in {LABEL_KINDS}")
-        if abs(sum(f for _, f in mix) - 1.0) > 1e-9 or any(f < 0 for _, f in mix):
-            raise ConfigError("label_mix fractions must be nonnegative and sum to 1")
+        if (not all(_finite(f) and f >= 0 for _, f in mix)
+                or abs(sum(f for _, f in mix) - 1.0) > 1e-9):
+            raise ConfigError("label_mix fractions must be finite, nonnegative and sum to 1")
         return tuple(mix)
 
     # derived component configs
@@ -242,6 +258,13 @@ PRESETS = {
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 
+def check_schema_version(blob):
+    """A config document may omit its schema version, not misstate it."""
+    version = blob.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION!r}, got {version!r}")
+
+
 def load_config_file(path):
     path = Path(path)
     if not path.exists():
@@ -254,6 +277,7 @@ def load_config_file(path):
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
     if not isinstance(blob, dict):
         raise ConfigError("config file must hold a JSON object")
+    check_schema_version(blob)
     blob.pop("schema_version", None)
     unknown = sorted(set(blob) - _FIELD_NAMES)
     if unknown:
@@ -270,6 +294,7 @@ def build_config(config_file=None, overrides=None):
         file_blob = load_config_file(config_file)
     preset = preset or file_blob.get("preset")
     if preset is not None:
+        _check_type("preset", preset, None)
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r} (have {sorted(PRESETS)})")
         values.update(PRESETS[preset])

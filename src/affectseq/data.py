@@ -175,8 +175,10 @@ def distribute(n, fractions):
     """Split n into integer counts: floor each share, then hand out the
     remainder by largest fractional part (ties to the earlier entry)."""
     fractions = [float(f) for f in fractions]
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise DatasetError(f"fractions must be nonnegative and sum to 1, got {fractions}")
+    if not all(np.isfinite(f) and f >= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise DatasetError(
+            f"fractions must be finite, nonnegative and sum to 1, got {fractions}"
+        )
     raw = [f * n for f in fractions]
     counts = [int(np.floor(r)) for r in raw]
     order = sorted(range(len(raw)), key=lambda i: (-(raw[i] - counts[i]), i))

@@ -1,16 +1,20 @@
 """Helpers shared by the test modules: values of the node builders the
 training graphs compose, evaluated on constant inputs, the concordance
-oracle the valence-arousal loss is checked against, and a second,
-independent implementation of the stored array format."""
+oracle the valence-arousal loss is checked against, a second,
+independent implementation of the stored array format, and the inputs
+and quiet command-line runner of the config and checkpoint fuzz tests."""
 
 import base64
+import contextlib
+import io
+import json
 
 import numpy as np
 
 from affectseq import affect_head as head
 from affectseq import aggregator as agg
 from affectseq import autodiff as ad
-from affectseq import metrics
+from affectseq import cli, metrics
 
 
 def const(x):
@@ -68,3 +72,43 @@ def b64(values):
 def unb64(text):
     """The flat float64 values of a stored array string."""
     return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+# Values a fuzzed config or checkpoint field takes: the wrong type for
+# some field, NaN, the infinities, negatives, an empty string, a list.
+BAD_VALUES = (None, True, 0, -1, -0.5, float("nan"), float("inf"), float("-inf"),
+              "", "x", [1], {"a": 1})
+
+
+# Shapes at which one command through the command line takes milliseconds.
+SMALL = {"n": 16, "t": 8, "l_min": 2, "l_max": 8, "d_hidden": 4, "d_ff": 3,
+         "batch_size": 8, "epochs": 1}
+
+
+def small_run_inputs(root):
+    """A config file at SMALL shapes naming a generated video dataset and a
+    zero-epoch aggregator checkpoint, all under `root`; (path, its values)."""
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in SMALL.items()]
+    dataset, checkpoint = root / "data" / "videos.jsonl", root / "agg" / "checkpoint.json"
+    assert run_quietly(["gen", *flags, "--out", str(root / "data")])[0] == 0
+    assert run_quietly(["train", *flags, "--epochs", "0", "--dataset", str(dataset),
+                        "--out", str(root / "agg")])[0] == 0
+    base = {**SMALL, "dataset": str(dataset), "checkpoint": str(checkpoint)}
+    path = root / "small.json"
+    path.write_text(json.dumps(base))
+    return path, base
+
+
+def run_quietly(argv):
+    """(exit code, stderr text) of `cli.main(argv)`; an escaping exception
+    propagates. Stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def always_rejected(value):
+    """True for a value no config field accepts: a list, an object or a
+    non-finite number."""
+    return isinstance(value, (list, dict)) or (isinstance(value, float) and not np.isfinite(value))

@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectseq.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from helpers import b64
+from helpers import BAD_VALUES, always_rejected, b64, run_quietly, small_run_inputs
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -122,3 +125,62 @@ def test_malformed_document_names_field(tmp_path, drop):
     path.write_text(json.dumps(blob))
     with pytest.raises(CheckpointError, match=expected):
         load_checkpoint(path)
+
+
+# Checkpoint fuzz: one field of an aggregator checkpoint (its kind, a
+# stored config value, a parameter's shape or data) mutated, then read by
+# eval and by train as its initial weights. The run succeeds or exits 2,
+# 3 or 4 with one stderr line; a mutated kind or shape, and a stored
+# config value no field accepts, are always config errors.
+
+@pytest.fixture(scope="module")
+def checkpoint_source(tmp_path_factory):
+    root = tmp_path_factory.mktemp("checkpoint_fuzz")
+    config, base = small_run_inputs(root)
+    return root, config, json.loads(Path(base["checkpoint"]).read_text())
+
+
+def _other_shapes(shape):
+    """Shapes other than `shape`, some holding the same number of values."""
+    shapes = [shape[::-1], shape + [1], shape[:-1], [2 * shape[0]] + shape[1:],
+              [-1], [1.5], ["2"], [True], [[2]]]
+    return [s for s in shapes if s != shape]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(["eval", "train"]),
+       mutation=st.sampled_from(["kind", "config", "shape", "truncate", "replace", "retype"]),
+       draw=st.data())
+def test_mutated_checkpoint_runs_or_exits_cleanly(checkpoint_source, command, mutation, draw):
+    root, config, source = checkpoint_source
+    blob = json.loads(json.dumps(source))
+    entry = blob["params"][draw.draw(st.sampled_from(sorted(blob["params"])))]
+    must_reject = True
+    if mutation == "kind":
+        blob["kind"] = draw.draw(st.sampled_from(BAD_VALUES + ("head", "joint")))
+    elif mutation == "config":
+        key = draw.draw(st.sampled_from(sorted(blob["config"])))
+        blob["config"][key] = draw.draw(st.sampled_from(BAD_VALUES))
+        must_reject = command == "eval" and always_rejected(blob["config"][key])
+    elif mutation == "shape":
+        shapes = _other_shapes(entry["shape"]) + list(BAD_VALUES)
+        entry["shape"] = draw.draw(st.sampled_from(shapes))
+    elif mutation == "retype":
+        entry["data"] = draw.draw(st.sampled_from(BAD_VALUES))
+    else:
+        text = entry["data"]
+        at = draw.draw(st.integers(0, len(text) - 1))
+        if mutation == "truncate":
+            entry["data"] = text[:at]
+        else:
+            entry["data"] = text[:at] + draw.draw(st.characters()) + text[at + 1:]
+            must_reject = False
+    path = root / "mutated.json"
+    path.write_text(json.dumps(blob))
+    code, err = run_quietly([command, "--config", str(config), "--checkpoint", str(path),
+                             "--out", str(root / "out")])
+    assert code in (0, 2, 3, 4), (mutation, err)
+    if code:
+        assert err.count("\n") == 1, (mutation, err)
+    if must_reject:
+        assert code == 2, (mutation, err)

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -52,7 +55,10 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("key, value", [("t", "8"), ("mask", "no")])
+@pytest.mark.parametrize("key, value", [
+    ("t", "8"), ("mask", "no"), ("preset", [1]), ("feature_noise", float("nan")),
+    ("schema_version", "2"),
+])
 def test_config_file_field_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({key: value}))
@@ -60,6 +66,21 @@ def test_config_file_field_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("gen", "--seed", "-1"), "seed"),
+    (("train", "--fractions", "0.5,nan,0.5"), "fractions"),
+    (("gen", "--gen-kind", "frames", "--label-mix", "va:nan"), "label_mix"),
+    (("gen", "--feature-noise", "nan"), "feature_noise"),
+    (("gen", "--temperature", "0"), "temperature"),
+    (("train", "--lr", "inf"), "lr"),
+])
+def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, field):
+    code = run(*argv, "--out", str(tmp_path / "x"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1, err
 
 
 def test_non_utf8_config_file_exits_2(tmp_path, capsys):
@@ -354,11 +375,10 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     assert code == 4
 
 
-def test_ablate_parallel_matches_serial(tmp_path, monkeypatch):
+def test_ablate_same_arguments_identical_bytes(tmp_path):
     data_path = gen_videos(tmp_path, seed=20, n=24)
-    outs = {}
-    for tag, threads in (("serial", "1"), ("parallel", "2")):
-        monkeypatch.setenv("AFFECTSEQ_THREADS", threads)
+    outs = []
+    for tag in ("a", "b"):
         out = tmp_path / tag
         code = run(
             "ablate", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
@@ -366,8 +386,18 @@ def test_ablate_parallel_matches_serial(tmp_path, monkeypatch):
             "--out", str(out), "--batch-size", "8",
         )
         assert code == 0
-        outs[tag] = (out / "ablation.csv").read_bytes()
-    assert outs["serial"] == outs["parallel"]
+        outs.append([(out / name).read_bytes() for name in ("ablation.csv", "ablation.txt")])
+    assert outs[0] == outs[1]
+
+
+def test_cli_import_starts_no_process_machinery():
+    code = ("import sys, affectseq.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_eval_empty_split_exits_2(tmp_path, capsys):
@@ -396,17 +426,6 @@ def test_frozen_train_empty_train_split_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "train split is empty" in capsys.readouterr().err
-
-
-def test_ablate_non_integer_threads_exits_2(tmp_path, monkeypatch, capsys):
-    data_path = gen_videos(tmp_path, seed=23, n=8)
-    monkeypatch.setenv("AFFECTSEQ_THREADS", "abc")
-    code = run(
-        "ablate", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
-        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "ab"),
-    )
-    assert code == 2
-    assert "AFFECTSEQ_THREADS" in capsys.readouterr().err
 
 
 def _rewrite_first_record(path, edit):
@@ -552,7 +571,9 @@ def test_eval_non_utf8_checkpoint_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: checkpoint {ck_path} is not UTF-8 text\n"
 
 
-@pytest.mark.parametrize("key, value", [("t", "8"), ("mask", "no")])
+@pytest.mark.parametrize("key, value", [
+    ("t", "8"), ("mask", "no"), ("lr", float("inf")), ("schema_version", "2"),
+])
 def test_eval_checkpoint_config_field_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     data_path = gen_videos(tmp_path, seed=30, n=8)
     out = tmp_path / "run"

@@ -1,8 +1,13 @@
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affectseq import data
 from affectseq.config import ConfigError, PRESETS, RunConfig, build_config
+from helpers import BAD_VALUES, always_rejected, run_quietly, small_run_inputs
 
 
 def test_defaults_validate():
@@ -70,6 +75,13 @@ def test_invalid_json_rejected(tmp_path):
         ({"lr": False}, "lr must be a number, got False"),
         ({"stage": 3}, "stage must be a string, got 3"),
         ({"dataset": 7}, "dataset must be a string or null, got 7"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"fractions": "0.5,nan,0.5"}, "fractions must be 3 finite"),
+        ({"label_mix": "va:nan"}, "label_mix fractions must be finite"),
+        ({"lr": float("inf")}, "lr must be finite, got inf"),
+        ({"lr": 10**400}, "lr must be finite"),
+        ({"feature_noise": float("nan")}, "feature_noise must be finite, got nan"),
+        ({"temperature": 0}, "temperature must be > 0"),
     ],
 )
 def test_validation_failures(overrides, message):
@@ -112,3 +124,36 @@ def test_derived_component_configs():
 
 def test_desk_and_paper_presets_exist():
     assert set(PRESETS) == {"desk", "paper"}
+
+
+# Config fuzz: one field of a config file set to a malformed value, run
+# through gen, train and eval at small shapes. The run succeeds or exits
+# 2, 3 or 4 with one stderr line; a list, an object or a non-finite
+# number is always a config error. `out` is not fuzzed: the command line
+# sets it, so the run writes only under the test's directory.
+
+_FUZZED_FIELDS = sorted({f.name for f in fields(RunConfig)} - {"out"} | {"schema_version"})
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config_fuzz")
+    return root, small_run_inputs(root)[1]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(["gen", "train", "eval"]),
+       key=st.sampled_from(_FUZZED_FIELDS), value=st.sampled_from(BAD_VALUES))
+def test_mutated_config_file_runs_or_exits_cleanly(fuzz_inputs, command, key, value):
+    root, base = fuzz_inputs
+    path = root / "config.json"
+    path.write_text(json.dumps({**base, key: value}))
+    out = root / "out"
+    code, err = run_quietly([command, "--config", str(path), "--out", str(out)])
+    assert code in (0, 2, 3, 4), (key, value, err)
+    if code:
+        assert err.count("\n") == 1, (key, value, err)
+    if always_rejected(value):
+        assert code == 2 and f"{key} must be" in err, (key, value, err)
+    if command == "gen" and code == 0:
+        data.load_dataset(out / "videos.jsonl")

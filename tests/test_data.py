@@ -15,6 +15,8 @@ def test_distribute_examples():
     assert sum(data.distribute(7, [0.4, 0.3, 0.3])) == 7
     with pytest.raises(data.DatasetError):
         data.distribute(10, [0.5, 0.6])
+    with pytest.raises(data.DatasetError):
+        data.distribute(10, [0.5, float("nan"), 0.5])
 
 
 # ---------------------------------------------------------------------------
