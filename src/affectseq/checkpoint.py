@@ -35,16 +35,21 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params, config, kind):
-    blob = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "config": config,
-        "params": {
-            name: {"shape": list(np.shape(arr)), "data": codec.encode(arr)}
-            for name, arr in params.items()
-        },
-    }
-    atomic.write_text(path, json.dumps(blob, sort_keys=True) + "\n")
+    """Write the document described above, byte for byte as
+    ``json.dumps(document, sort_keys=True) + "\\n"`` would.
+
+    The base64 strings are spliced in as they are: they hold no character
+    JSON escapes, so passing them through ``json.dumps`` would only
+    re-scan megabytes of text. Everything else goes through ``json.dumps``.
+    """
+    parts = [f'{{"config": {json.dumps(config, sort_keys=True)}, '
+             f'"kind": {json.dumps(kind)}, "params": {{']
+    for i, name in enumerate(sorted(params)):
+        arr = params[name]
+        parts += [", " if i else "", f'{json.dumps(name)}: {{"data": "', codec.encode(arr),
+                  f'", "shape": {json.dumps(list(np.shape(arr)))}}}']
+    parts.append(f'}}, "schema_version": {json.dumps(SCHEMA_VERSION)}}}\n')
+    atomic.write_text(path, "".join(parts))
 
 
 def _field(obj, key, where):

@@ -402,7 +402,7 @@ def main(argv=None):
     except (data.DatasetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except GraphError as e:
+    except (GraphError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

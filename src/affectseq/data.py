@@ -198,6 +198,24 @@ def _mixture_logits(va, temperature):
     return -d2 / temperature
 
 
+def _require_finite(samples, fields):
+    """Raise FloatingPointError naming the first generated sample whose
+    stored array in one of `fields` holds a non-finite value."""
+    for key in fields:
+        stored = [(s.id, getattr(s, key)) for s in samples if getattr(s, key) is not None]
+        # one check over the stacked arrays; the per-sample scan only names
+        # the culprit
+        if stored and not np.isfinite(np.stack([arr for _, arr in stored])).all():
+            sample_id = next(i for i, arr in stored if not np.isfinite(arr).all())
+            raise FloatingPointError(
+                f"generated {sample_id}: field {key!r} holds a non-finite value; "
+                "the recipe's noise or temperature overflows float64"
+            )
+
+
+# A recipe may overflow float64 (a noise of 1e308, say); the generators
+# check what they store instead of warning about each intermediate.
+@np.errstate(over="ignore", invalid="ignore")
 def gen_frame_dataset(seed, n, recipe):
     """Frame samples with configurable partial annotation; deterministic."""
     if n < 1:
@@ -238,6 +256,7 @@ def gen_frame_dataset(seed, n, recipe):
                 au=au_label if kind in ("au", "all") else None,
             )
         )
+    _require_finite(samples, ("features", "va"))
     manifest = DatasetManifest(
         kind="frames", seed=int(seed), n=n, d=recipe.d_in, recipe=asdict(recipe)
     )
@@ -316,6 +335,7 @@ def pad_sequence(frames, t):
     return padded
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gen_video_dataset(seed, n, recipe, t):
     """Padded variable-length videos with weak (video-level) labels."""
     if n < 1:
@@ -353,6 +373,7 @@ def gen_video_dataset(seed, n, recipe, t):
         samples.append(
             VideoSample(id=f"video-{i:05d}", frames=emitted, length=length, label=label)
         )
+    _require_finite(samples, ("frames", "label"))
     d = recipe.d_in if recipe.feature_kind == "descriptor" else FEATURE_DIM
     manifest = DatasetManifest(
         kind="videos", seed=int(seed), n=n, d=d, t=t, recipe=asdict(recipe)

@@ -46,10 +46,6 @@ def _epoch_batches(n, batch_size, rng, min_size=1):
             yield idx
 
 
-def _copy_params(params):
-    return {k: v.copy() for k, v in params.items()}
-
-
 def mean_correlation(preds, labels):
     return metrics.evaluate(preds, labels).mean
 
@@ -63,11 +59,13 @@ def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,
     returns the metric recorded under `metric_key`. Batches smaller than
     `min_size` are skipped. Epoch 0 (the initial parameters) is a
     candidate; a NaN metric always replaces the best, and on ties the
-    earlier epoch wins.
+    earlier epoch wins. The best epoch's params dict is kept as `step`
+    returned it, not copied: `step` must return fresh arrays and never
+    write to the ones it is given, as `optim.adam_step` does.
     """
     state = adam_init(params)
     rng = np.random.default_rng(seed)
-    best = TrainOutcome(params=_copy_params(params), best_epoch=0, best_metric=validate(params))
+    best = TrainOutcome(params=params, best_epoch=0, best_metric=validate(params))
     history = []
     for epoch in range(1, epochs + 1):
         losses = []
@@ -82,7 +80,7 @@ def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,
         })
         better = metric > best.best_metric if higher_is_better else metric < best.best_metric
         if np.isnan(metric) or better:
-            best = TrainOutcome(params=_copy_params(params), best_epoch=epoch, best_metric=metric)
+            best = TrainOutcome(params=params, best_epoch=epoch, best_metric=metric)
     best.history = history
     return best
 

@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: values of the node builders the
 training graphs compose, evaluated on constant inputs, the concordance
-oracle the valence-arousal loss is checked against, a second,
-independent implementation of the stored array format, and the inputs
-and quiet command-line runner of the config and checkpoint fuzz tests."""
+oracle the valence-arousal loss is checked against, the whole-array Adam
+formula the blocked optimizer is checked against, a second, independent
+implementation of the stored array format, and the inputs and quiet
+command-line runner of the config and checkpoint fuzz tests."""
 
 import base64
 import contextlib
@@ -62,6 +63,21 @@ def expected_aus(expr):
     """AU activations implied by an expression distribution: the pseudo-AU
     targets the coupling loss pulls toward."""
     return ad.Graph(head.pseudo_au_node(const(expr))).evaluate({})
+
+
+def adam_oracle(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update of whole arrays, step `step` counted from 1;
+    returns fresh (params, m, v) dicts and writes to no argument."""
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        new_m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        new_v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        update = (new_m[name] / bc1) / (np.sqrt(new_v[name] / bc2) + eps)
+        new_params[name] = p - lr * update
+    return new_params, new_m, new_v
 
 
 def b64(values):

@@ -67,6 +67,35 @@ def test_same_params_write_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("config", [
+    {},
+    {"dataset": "/data/vid\u00e9os/\u65e5\u672c/\"quoted\" \\back\\slash\\", "tab": "a\tb\n\x00\x1f\x7f"},
+    {"nested": [[1, 2.5], [None, True, "x"]], "obj": {"b": None, "a": [1e-300, -0.0]},
+     "lr": 1e-3, "big": 1.7976931348623157e308, "neg": -3},
+    {"zeta": 1, "alpha": {"z": 2, "a": 1}, "\u00fcber": "\u2603"},
+])
+def test_bytes_equal_json_dumps_of_the_document(tmp_path, config):
+    rng = np.random.default_rng(3)
+    # names out of sorted order, including ones JSON escapes
+    params = {
+        "out.w": rng.normal(size=(3, 2)),
+        "gru0.W": rng.normal(size=(2, 3, 4)),
+        "a\"b\\c": rng.normal(size=()),
+        "\u00e9t\u00e9": rng.normal(size=(0,)),
+        "B": rng.normal(size=(5,)),
+    }
+    blob = {
+        "schema_version": "2",
+        "kind": "aggregator",
+        "config": config,
+        "params": {name: {"shape": list(arr.shape), "data": b64(arr)}
+                   for name, arr in params.items()},
+    }
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, params, config, "aggregator")
+    assert path.read_bytes() == (json.dumps(blob, sort_keys=True) + "\n").encode("ascii")
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(CheckpointError, match="does not exist"):
         load_checkpoint(tmp_path / "nope.json")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -46,6 +47,24 @@ def test_gen_same_seed_identical_bytes(tmp_path):
 def test_gen_rejects_inconsistent_lengths(tmp_path, capsys):
     code = run("gen", "--t", "8", "--l-min", "4", "--l-max", "12", "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, kind, field", [
+    (("--mix-noise", "1e308", "--n", "4", "--t", "8", "--l-min", "2", "--l-max", "8"),
+     "videos", "frames"),
+    (("--gen-kind", "frames", "--frame-noise", "1e308", "--n", "8"), "frames", "features"),
+])
+def test_gen_overflowing_noise_exits_4_and_writes_no_dataset(tmp_path, capsys, argv, kind, field):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("gen", *argv, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
+    assert f"field '{field}'" in err
+    assert not (out / f"{kind}.jsonl").exists()
+    assert not (out / f"{kind}.jsonl.manifest.json").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):

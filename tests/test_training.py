@@ -161,6 +161,31 @@ def test_fit_zero_epochs_returns_initial_params():
     np.testing.assert_array_equal(outcome.params["w"], np.zeros(2))
 
 
+def test_fit_keeps_best_epoch_params_without_copying():
+    # real Adam steps; the scripted metric makes epoch 1 of 3 the best
+    samples, _ = gen_video_dataset(6, 16, VideoRecipe(l_min=3, l_max=12), 12)
+    frames, lengths, labels = video_arrays(samples)
+    runner = agg.BatchRunner(AGG, 4, "pearson")
+    init = agg.init_params(AGG, 7)
+    original = {k: v.copy() for k, v in init.items()}
+    snapshots, values = [], iter([0.0, 0.9, 0.5, 0.1])
+
+    def step(p, state, idx):
+        return runner.step(p, state, frames[idx], lengths[idx], labels[idx], 1e-2)
+
+    def validate(p):
+        snapshots.append({k: v.copy() for k, v in p.items()})
+        return next(values)
+
+    outcome = training.fit(init, len(frames), step, validate, epochs=3, batch_size=4,
+                           seed=0, metric_key="m", higher_is_better=True)
+    assert outcome.best_epoch == 1 and len(snapshots) == 4
+    assert any(not np.array_equal(snapshots[1][k], snapshots[3][k]) for k in init)
+    for name in init:
+        np.testing.assert_array_equal(outcome.params[name], snapshots[1][name])
+        np.testing.assert_array_equal(init[name], original[name])
+
+
 def _joint_setup(seed, n=4):
     recipe = VideoRecipe(l_min=2, l_max=6, feature_kind="descriptor", d_in=10)
     samples, _ = gen_video_dataset(seed, n, recipe, t=6)
