@@ -7,9 +7,9 @@ moments: `adam_step` updates the `AdamState` it is given in place and
 returns it, so a state is threaded through a run linearly and an older
 state is not kept. Everything is float64 and fully deterministic.
 
-A parameter larger than `BLOCK` entries is walked in blocks of `BLOCK`
-entries, writing with ``out=`` into two reused scratch buffers, so no
-temporary of its size is made. Each entry gets the same IEEE operations
+Every parameter is walked in blocks of `BLOCK` entries, writing with
+``out=`` into two scratch buffers shared by all blocks, so no temporary
+of a parameter's size is made. Each entry gets the same IEEE operations
 in the same order as the whole-array formula, so the results are
 bit-identical to it.
 """
@@ -67,19 +67,11 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         np.multiply(b, lr, out=b)
         np.subtract(p, b, out=new)
 
-    scratch = None
+    scratch = np.empty(BLOCK), np.empty(BLOCK)
     new_params = {}
     for name, p in params.items():
         new = new_params[name] = np.empty(np.shape(p))
-        if new.size <= BLOCK:
-            # one block: scratch of its own shape costs less than
-            # flattening five arrays to slice the shared scratch
-            update(p, grads[name], state.m[name], state.v[name], new,
-                   np.empty(new.shape), np.empty(new.shape))
-            continue
-        if scratch is None:
-            scratch = np.empty(BLOCK), np.empty(BLOCK)
-        flat = [x.reshape(-1) for x in (p, grads[name], state.m[name], state.v[name], new)]
+        flat = [x.ravel() for x in (p, grads[name], state.m[name], state.v[name], new)]
         for start in range(0, new.size, BLOCK):
             block = [x[start:start + BLOCK] for x in flat]
             n = block[0].size
