@@ -1,18 +1,27 @@
 """Self-describing checkpoint files.
 
-A checkpoint is a single JSON document holding every named parameter
-array with its shape, the full configuration that produced it, and a
-schema version. Schema "2" stores each parameter's ``data`` in the
-binary array format of ``codec`` (base64 of the little-endian float64
-bytes in C order), so reloading reproduces every parameter bit-exactly.
-The loader checks every field's type, the byte count against the shape,
-and that every value is finite; each failure is a ``CheckpointError``
-naming the parameter and field.
+A checkpoint (schema "3") is one JSON header line followed by the raw
+parameter bytes. The header is ``json.dumps(header, sort_keys=True)``
+and a newline; it holds ``schema_version``, ``kind``, the full
+``config`` that produced the checkpoint and ``params``, the list of
+``[name, shape]`` pairs in sorted-name order. After it come each
+parameter's bytes in the format of ``codec`` (little-endian float64 in
+C order), in that same order, and nothing else. Reloading reproduces
+every parameter bit-exactly, and saving what was loaded reproduces the
+file byte for byte.
+
+The loader checks every header field's type, that the names are unique
+and sorted, that the payload holds exactly the bytes the shapes call
+for, and that every value is finite; each failure is a
+``CheckpointError`` naming the file and, where there is one, the
+parameter and field. A schema "2" checkpoint (one JSON document with
+base64 data) is rejected with a message to re-run train.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +29,7 @@ import numpy as np
 
 from . import atomic, codec
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class CheckpointError(Exception):
@@ -35,21 +44,13 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params, config, kind):
-    """Write the document described above, byte for byte as
-    ``json.dumps(document, sort_keys=True) + "\\n"`` would.
-
-    The base64 strings are spliced in as they are: they hold no character
-    JSON escapes, so passing them through ``json.dumps`` would only
-    re-scan megabytes of text. Everything else goes through ``json.dumps``.
-    """
-    parts = [f'{{"config": {json.dumps(config, sort_keys=True)}, '
-             f'"kind": {json.dumps(kind)}, "params": {{']
-    for i, name in enumerate(sorted(params)):
-        arr = params[name]
-        parts += [", " if i else "", f'{json.dumps(name)}: {{"data": "', codec.encode(arr),
-                  f'", "shape": {json.dumps(list(np.shape(arr)))}}}']
-    parts.append(f'}}, "schema_version": {json.dumps(SCHEMA_VERSION)}}}\n')
-    atomic.write_text(path, "".join(parts))
+    """Write the header line, then every array's bytes straight from its
+    buffer into the file."""
+    names = sorted(params)
+    header = {"schema_version": SCHEMA_VERSION, "kind": kind, "config": config,
+              "params": [[name, list(np.shape(params[name]))] for name in names]}
+    line = (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
+    atomic.write_bytes(path, [line, *(codec.to_bytes(params[name]) for name in names)])
 
 
 def _field(obj, key, where):
@@ -61,36 +62,62 @@ def _field(obj, key, where):
     return obj[key]
 
 
+def _read_header(line, path):
+    """The header dict of `line`, its schema version checked."""
+    where = f"checkpoint {path}"
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{where} is not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{where} is not valid JSON: {e.msg}") from None
+    version = _field(header, "schema_version", where)
+    if version != SCHEMA_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint schema {version!r} in {path} "
+            f"(this version reads {SCHEMA_VERSION!r}); re-run train to rebuild the checkpoint"
+        )
+    return header
+
+
 def load_checkpoint(path):
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
-    try:
-        blob = json.loads(path.read_bytes())
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {e.msg}") from None
-    except UnicodeDecodeError:
-        raise CheckpointError(f"checkpoint {path} is not UTF-8 text") from None
     where = f"checkpoint {path}"
-    version = _field(blob, "schema_version", where)
-    if version != SCHEMA_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint schema {version!r} in {path} (this version reads "
-            f"{SCHEMA_VERSION!r}); re-run train to rebuild the checkpoint"
-        )
-    kind, config, entries = (_field(blob, key, where) for key in ("kind", "config", "params"))
+    raw = path.read_bytes()
+    if not raw:
+        raise CheckpointError(f"{where} is empty")
+    end = raw.find(b"\n")
+    header = _read_header(raw if end < 0 else raw[:end], path)
+    if end < 0:
+        raise CheckpointError(f"{where} has no newline ending its header line")
+    kind, config, entries = (_field(header, key, where) for key in ("kind", "config", "params"))
     if not isinstance(kind, str):
         raise CheckpointError(f"{where}: field 'kind' is not a JSON string")
-    for key, value in (("config", config), ("params", entries)):
-        if not isinstance(value, dict):
-            raise CheckpointError(f"{where}: field {key!r} is not a JSON object")
-    params = {}
-    for name, entry in entries.items():
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{where}: field 'config' is not a JSON object")
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{where}: field 'params' is not a JSON list")
+    payload = memoryview(raw)[end + 1:]
+    params, offset, previous = {}, 0, None
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise CheckpointError(f"{where}: params[{i}] is not a [name, shape] pair")
+        name, shape = entry
         at = f"{where}: parameter {name!r}"
-        shape = _field(entry, "shape", at)
+        if previous is not None and name <= previous:
+            raise CheckpointError(
+                f"{at} appears twice" if name == previous
+                else f"{at} follows {previous!r}; names must be in sorted order"
+            )
         if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
             raise CheckpointError(f"{at}: field 'shape' is not a list of non-negative integers")
-        params[name] = codec.decode(
-            _field(entry, "data", at), tuple(shape), CheckpointError, f"{at}: field 'data'"
-        )
+        nbytes = 8 * math.prod(shape)
+        params[name] = codec.from_bytes(payload[offset:offset + nbytes], tuple(shape),
+                                        CheckpointError, f"{at}: field 'data'")
+        offset += nbytes
+        previous = name
+    if offset != len(payload):
+        raise CheckpointError(f"{where}: {len(payload) - offset} bytes follow the last parameter")
     return Checkpoint(kind=kind, config=config, params=params)

@@ -2,13 +2,16 @@
 training graphs compose, evaluated on constant inputs, the concordance
 oracle the valence-arousal loss is checked against, the whole-array Adam
 formula the blocked optimizer is checked against, a second, independent
-implementation of the stored array format, and the inputs and quiet
-command-line runner of the config and checkpoint fuzz tests."""
+implementation of the stored array format and of the checkpoint file
+layout, and the inputs and quiet command-line runner of the config and
+checkpoint fuzz tests."""
 
 import base64
 import contextlib
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -88,6 +91,30 @@ def b64(values):
 def unb64(text):
     """The flat float64 values of a stored array string."""
     return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def read_checkpoint(path):
+    """(header, {name: array}) of a checkpoint file: its JSON header line,
+    then each parameter's `<f8` C-order bytes in the header's order."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    header = json.loads(line)
+    arrays, offset = {}, 0
+    for name, shape in header["params"]:
+        end = offset + 8 * math.prod(shape)
+        arrays[name] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
+        offset = end
+    assert offset == len(payload), "bytes follow the last parameter"
+    return header, arrays
+
+
+def write_checkpoint(path, header, arrays):
+    """Write `header` as the JSON header line, then each value of `arrays`
+    in its insertion order, whatever `header` says: an array as its `<f8`
+    C-order bytes, a bytes value as it is."""
+    parts = [(json.dumps(header, sort_keys=True) + "\n").encode()]
+    for value in arrays.values():
+        parts.append(value if isinstance(value, bytes) else np.asarray(value, "<f8").tobytes())
+    Path(path).write_bytes(b"".join(parts))
 
 
 # Values a fuzzed config or checkpoint field takes: the wrong type for

@@ -9,7 +9,8 @@ from affectseq.checkpoint import save_checkpoint
 
 
 class _DiskFullHalfway:
-    """Stands in for ``open``: each write stores half its text, then fails."""
+    """Stands in for ``open``: each write stores the first half of what it
+    is given (text, bytes or a byte view), then fails."""
 
     opened = []
 

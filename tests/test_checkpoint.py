@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectseq.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from helpers import BAD_VALUES, always_rejected, b64, run_quietly, small_run_inputs
+from helpers import (BAD_VALUES, always_rejected, b64, read_checkpoint, run_quietly,
+                     small_run_inputs, write_checkpoint)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -47,15 +50,14 @@ def test_round_trip_preserves_every_bit(tmp_path):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_file_size_is_base64_of_float64(tmp_path):
-    # float text takes about twice these bytes for random values; the slack
-    # covers the JSON keys, the shapes and the config
+def test_file_size_is_header_line_plus_float64(tmp_path):
     rng = np.random.default_rng(2)
     params = {"w": rng.normal(size=(64, 48)), "b": rng.normal(size=(48,))}
-    n = sum(arr.size for arr in params.values())
     path = tmp_path / "ck.json"
     save_checkpoint(path, params, {"seed": 0, "t": 480}, "aggregator")
-    assert path.stat().st_size <= math.ceil(8 * n / 3) * 4 + 4096
+    header, _ = read_checkpoint(path)
+    line = json.dumps(header, sort_keys=True) + "\n"
+    assert path.stat().st_size == len(line) + 8 * sum(math.prod(arr.shape) for arr in params.values())
 
 
 def test_same_params_write_identical_bytes(tmp_path):
@@ -84,16 +86,17 @@ def test_bytes_equal_json_dumps_of_the_document(tmp_path, config):
         "\u00e9t\u00e9": rng.normal(size=(0,)),
         "B": rng.normal(size=(5,)),
     }
-    blob = {
-        "schema_version": "2",
+    header = {
+        "schema_version": "3",
         "kind": "aggregator",
         "config": config,
-        "params": {name: {"shape": list(arr.shape), "data": b64(arr)}
-                   for name, arr in params.items()},
+        "params": [[name, list(params[name].shape)] for name in sorted(params)],
     }
+    payload = b"".join(params[name].astype("<f8").tobytes() for name in sorted(params))
     path = tmp_path / "ck.json"
     save_checkpoint(path, params, config, "aggregator")
-    assert path.read_bytes() == (json.dumps(blob, sort_keys=True) + "\n").encode("ascii")
+    line = (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
+    assert path.read_bytes() == line + payload
 
 
 def test_missing_file_raises(tmp_path):
@@ -111,62 +114,134 @@ def test_corrupt_json_raises(tmp_path):
 def test_shape_mismatch_raises(tmp_path):
     path = tmp_path / "bad.json"
     save_checkpoint(path, {"w": np.zeros((2, 2))}, {}, "head")
-    blob = path.read_text().replace('"shape": [2, 2]', '"shape": [2, 3]')
-    path.write_text(blob)
+    header, arrays = read_checkpoint(path)
+    header["params"][0][1] = [2, 3]
+    write_checkpoint(path, header, arrays)
     with pytest.raises(CheckpointError, match="does not match shape"):
         load_checkpoint(path)
 
 
+_DELETE = object()
+
+
+# (header field or "data", its new value or _DELETE, text the error holds);
+# "data" replaces the payload of parameter 'w', the only one
 @pytest.mark.parametrize("drop", [
-    (), ("kind",), ("params",), ("params", "w", "shape"), ("params", "w", "data"),
-    # parameter field plus a value: the field is present but malformed
-    ("params", "w", "data", ["a", "b", "c", "d"]),
-    ("params", "w", "shape", "2x2"),
-    ("params", "w", "data", [0.0, float("nan"), 0.0, 0.0]),
-    # a top-level field plus a value
-    ("kind", 3),
-    ("config", [1, 2]),
-    # base64 data that is not, or does not decode to, four finite float64
-    ("params", "w", "data", "not base64!"),
-    ("params", "w", "data", "AAAA\u00e9"),
-    ("params", "w", "data", b64([0.0, 1.0, 2.0])),
-    ("params", "w", "data", b64([0.0, float("nan"), 0.0, 0.0])),
-    ("params", "w", "data", b64([0.0, 0.0, float("-inf"), 0.0])),
+    (None, None, "not a JSON object"),  # the header is a list, not an object
+    ("kind", _DELETE, "lacks field 'kind'"),
+    ("params", _DELETE, "lacks field 'params'"),
+    ("kind", 3, ": field 'kind'"),
+    ("config", [1, 2], ": field 'config'"),
+    ("params", {"w": [2, 2]}, ": field 'params'"),
+    ("params", [["w"]], "params[0] is not a [name, shape] pair"),
+    ("params", [[1, [2, 2]]], "params[0] is not a [name, shape] pair"),
+    ("params", [["w", "2x2"]], "parameter 'w': field 'shape'"),
+    ("params", [["w", [2, -2]]], "parameter 'w': field 'shape'"),
+    # names must be unique and sorted, so a re-save repeats the bytes
+    ("params", [["w", [2, 2]], ["w", [0]]], "parameter 'w' appears twice"),
+    ("params", [["w", [0]], ["v", [2, 2]]], "parameter 'v' follows 'w'"),
+    # a payload that does not hold four finite float64
+    ("data", [0.0, 1.0, 2.0], "parameter 'w': field 'data' holds 24 bytes"),
+    ("data", [0.0, float("nan"), 0.0, 0.0], "parameter 'w': field 'data' holds a non-finite"),
+    ("data", [0.0, 0.0, float("-inf"), 0.0], "parameter 'w': field 'data' holds a non-finite"),
 ])
 def test_malformed_document_names_field(tmp_path, drop):
+    field, value, expected = drop
     path = tmp_path / "ck.json"
     save_checkpoint(path, {"w": np.zeros((2, 2))}, {}, "head")
-    blob = json.loads(path.read_text())
-    if len(drop) == 4:  # replace the parameter field's value
-        blob["params"]["w"][drop[2]] = drop[3]
-        expected = f"parameter 'w': field '{drop[2]}'"
-    elif len(drop) == 2:  # replace the top-level field's value
-        blob[drop[0]] = drop[1]
-        expected = f": field '{drop[0]}'"
-    elif drop:  # delete the field at this key path
-        owner = blob
-        for key in drop[:-1]:
-            owner = owner[key]
-        del owner[drop[-1]]
-        expected = f"lacks field '{drop[-1]}'"
-    else:  # a JSON value that is not an object
-        blob, expected = [blob], "not a JSON object"
-    path.write_text(json.dumps(blob))
-    with pytest.raises(CheckpointError, match=expected):
+    header, arrays = read_checkpoint(path)
+    if field is None:
+        header = [header]
+    elif field == "data":
+        arrays["w"] = value
+    elif value is _DELETE:
+        del header[field]
+    else:
+        header[field] = value
+    write_checkpoint(path, header, arrays)
+    with pytest.raises(CheckpointError, match=re.escape(expected)):
         load_checkpoint(path)
 
 
-# Checkpoint fuzz: one field of an aggregator checkpoint (its kind, a
-# stored config value, a parameter's shape or data) mutated, then read by
-# eval and by train as its initial weights. The run succeeds or exits 2,
-# 3 or 4 with one stderr line; a mutated kind or shape, and a stored
-# config value no field accepts, are always config errors.
+def test_load_peaks_below_two_and_a_half_payloads(tmp_path):
+    # the file's bytes plus the owned arrays, and little else: the
+    # base64 document loader peaked at about 3.6 payloads
+    rng = np.random.default_rng(4)
+    params = {"ff1.w": rng.normal(size=(512, 1024)), "ff1.b": rng.normal(size=(1024,)),
+              "out.w": rng.normal(size=(1024, 7))}
+    payload = sum(arr.nbytes for arr in params.values())
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, params, {"seed": 0}, "aggregator")
+    tracemalloc.start()
+    try:
+        ck = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * payload, peak / payload
+    for name, arr in params.items():
+        np.testing.assert_array_equal(ck.params[name], arr)
+
+
+# Faults of the file as a whole, through eval: each exits 2 with one
+# stderr line naming the checkpoint.
+
+def _schema2_document(header, arrays):
+    """The same parameters as one JSON document with base64 data."""
+    blob = {"schema_version": "2", "kind": header["kind"], "config": header["config"],
+            "params": {name: {"shape": list(arr.shape), "data": b64(arr)}
+                       for name, arr in arrays.items()}}
+    return (json.dumps(blob, sort_keys=True) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("fault, expected", [
+    ("empty", "is empty"),
+    ("no newline", "has no newline"),
+    ("not JSON", "is not valid JSON"),
+    ("not UTF-8", "is not UTF-8 text"),
+    ("schema 2", "unsupported checkpoint schema '2'"),
+    ("short payload", "parameter 'out.w': field 'data' holds"),
+    ("trailing bytes", ": 5 bytes follow the last parameter"),
+])
+def test_file_fault_exits_2_naming_checkpoint(checkpoint_source, fault, expected):
+    root, config, (header, arrays) = checkpoint_source
+    good = Path(root / "agg" / "checkpoint.json").read_bytes()
+    line = good[:good.index(b"\n") + 1]
+    raw = {
+        "empty": b"",
+        "no newline": line[:-1],
+        "not JSON": b"{not json\n" + good[len(line):],
+        "not UTF-8": line.replace(b'"kind"', b'"k\xffnd"') + good[len(line):],
+        "schema 2": _schema2_document(header, arrays),
+        "short payload": good[:-3],
+        "trailing bytes": good + b"\0" * 5,
+    }[fault]
+    path = root / "faulty.json"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match=re.escape(expected)) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value)
+    code, err = run_quietly(["eval", "--config", str(config), "--checkpoint", str(path),
+                             "--out", str(root / "out")])
+    assert code == 2 and err.count("\n") == 1, err
+    assert str(path) in err and expected in err, err
+    if fault == "schema 2":
+        assert "re-run train" in err
+
+
+# Checkpoint fuzz: one part of an aggregator checkpoint (its kind, a
+# stored config value, a parameter's shape, the payload cut short or
+# extended, one payload value made non-finite, or any one byte of the
+# file) mutated, then read by eval and by train as its initial weights.
+# The run succeeds or exits 2, 3 or 4 with one stderr line; every
+# mutation but a changed byte and a stored config value some field
+# accepts is a config error.
 
 @pytest.fixture(scope="module")
 def checkpoint_source(tmp_path_factory):
     root = tmp_path_factory.mktemp("checkpoint_fuzz")
     config, base = small_run_inputs(root)
-    return root, config, json.loads(Path(base["checkpoint"]).read_text())
+    return root, config, read_checkpoint(base["checkpoint"])
 
 
 def _other_shapes(shape):
@@ -178,34 +253,40 @@ def _other_shapes(shape):
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(command=st.sampled_from(["eval", "train"]),
-       mutation=st.sampled_from(["kind", "config", "shape", "truncate", "replace", "retype"]),
+       mutation=st.sampled_from(["kind", "config", "shape", "truncate", "extend",
+                                 "nonfinite", "byte"]),
        draw=st.data())
 def test_mutated_checkpoint_runs_or_exits_cleanly(checkpoint_source, command, mutation, draw):
-    root, config, source = checkpoint_source
-    blob = json.loads(json.dumps(source))
-    entry = blob["params"][draw.draw(st.sampled_from(sorted(blob["params"])))]
+    root, config, (source_header, source_arrays) = checkpoint_source
+    header = json.loads(json.dumps(source_header))
+    arrays = {name: arr.copy() for name, arr in source_arrays.items()}
+    index = draw.draw(st.integers(0, len(header["params"]) - 1))
+    name, shape = header["params"][index]
+    data = arrays[name].tobytes()
     must_reject = True
     if mutation == "kind":
-        blob["kind"] = draw.draw(st.sampled_from(BAD_VALUES + ("head", "joint")))
+        header["kind"] = draw.draw(st.sampled_from(BAD_VALUES + ("head", "joint")))
     elif mutation == "config":
-        key = draw.draw(st.sampled_from(sorted(blob["config"])))
-        blob["config"][key] = draw.draw(st.sampled_from(BAD_VALUES))
-        must_reject = command == "eval" and always_rejected(blob["config"][key])
+        key = draw.draw(st.sampled_from(sorted(header["config"])))
+        header["config"][key] = draw.draw(st.sampled_from(BAD_VALUES))
+        must_reject = command == "eval" and always_rejected(header["config"][key])
     elif mutation == "shape":
-        shapes = _other_shapes(entry["shape"]) + list(BAD_VALUES)
-        entry["shape"] = draw.draw(st.sampled_from(shapes))
-    elif mutation == "retype":
-        entry["data"] = draw.draw(st.sampled_from(BAD_VALUES))
-    else:
-        text = entry["data"]
-        at = draw.draw(st.integers(0, len(text) - 1))
-        if mutation == "truncate":
-            entry["data"] = text[:at]
-        else:
-            entry["data"] = text[:at] + draw.draw(st.characters()) + text[at + 1:]
-            must_reject = False
+        header["params"][index][1] = draw.draw(st.sampled_from(_other_shapes(shape)
+                                                               + list(BAD_VALUES)))
+    elif mutation == "truncate":
+        arrays[name] = data[:draw.draw(st.integers(0, len(data) - 1))]
+    elif mutation == "extend":
+        arrays[name] = data + draw.draw(st.binary(min_size=1, max_size=16))
+    elif mutation == "nonfinite":
+        at = draw.draw(st.integers(0, arrays[name].size - 1))
+        arrays[name].flat[at] = draw.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     path = root / "mutated.json"
-    path.write_text(json.dumps(blob))
+    write_checkpoint(path, header, arrays)
+    if mutation == "byte":
+        raw = bytearray(path.read_bytes())
+        raw[draw.draw(st.integers(0, len(raw) - 1))] = draw.draw(st.integers(0, 255))
+        path.write_bytes(bytes(raw))
+        must_reject = False
     code, err = run_quietly([command, "--config", str(config), "--checkpoint", str(path),
                              "--out", str(root / "out")])
     assert code in (0, 2, 3, 4), (mutation, err)

@@ -14,7 +14,7 @@ from affectseq import autodiff as ad
 from affectseq import cli
 from affectseq.checkpoint import load_checkpoint
 from affectseq.config import RunConfig
-from helpers import b64, unb64
+from helpers import b64, read_checkpoint, unb64, write_checkpoint
 
 
 def run(*argv):
@@ -208,9 +208,9 @@ def test_eval_checkpoint_dataset_mismatch_exits_2(tmp_path):
     # same t, but checkpoint trained on all 26 dims vs dataset evaluated at va subset:
     # force mismatch by rewriting the stored representation
     ck_path = out / "checkpoint.json"
-    blob = json.loads(ck_path.read_text())
-    blob["config"]["representation"] = "va"
-    ck_path.write_text(json.dumps(blob, sort_keys=True))
+    header, arrays = read_checkpoint(ck_path)
+    header["config"]["representation"] = "va"
+    write_checkpoint(ck_path, header, arrays)
     code = run(
         "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16", "--dataset", str(other),
         "--checkpoint", str(ck_path), "--out", str(tmp_path / "e2"),
@@ -533,9 +533,10 @@ def test_eval_checkpoint_with_string_data_exits_2(tmp_path, capsys):
         "--dataset", str(data_path), "--epochs", "0", "--out", str(out),
     ) == 0
     ck_path = out / "checkpoint.json"
-    blob = json.loads(ck_path.read_text())
-    blob["params"]["ff1.b"]["data"] = ["x"] * len(blob["params"]["ff1.b"]["data"])
-    ck_path.write_text(json.dumps(blob))
+    header, arrays = read_checkpoint(ck_path)
+    # bytes that hold no float64 value: all ones is a NaN pattern
+    arrays["ff1.b"] = b"\xff" * arrays["ff1.b"].nbytes
+    write_checkpoint(ck_path, header, arrays)
     capsys.readouterr()
     code = run(
         "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
@@ -557,9 +558,9 @@ def test_eval_checkpoint_with_bad_document_field_exits_2(tmp_path, capsys, field
         "--dataset", str(data_path), "--epochs", "0", "--out", str(out),
     ) == 0
     ck_path = out / "checkpoint.json"
-    blob = json.loads(ck_path.read_text())
-    blob[field] = value
-    ck_path.write_text(json.dumps(blob))
+    header, arrays = read_checkpoint(ck_path)
+    header[field] = value
+    write_checkpoint(ck_path, header, arrays)
     capsys.readouterr()
     code = run(
         "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
@@ -601,9 +602,9 @@ def test_eval_checkpoint_config_field_of_wrong_type_exits_2(tmp_path, capsys, ke
         "--dataset", str(data_path), "--epochs", "0", "--out", str(out),
     ) == 0
     ck_path = out / "checkpoint.json"
-    blob = json.loads(ck_path.read_text())
-    blob["config"][key] = value
-    ck_path.write_text(json.dumps(blob))
+    header, arrays = read_checkpoint(ck_path)
+    header["config"][key] = value
+    write_checkpoint(ck_path, header, arrays)
     capsys.readouterr()
     code = run(
         "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
