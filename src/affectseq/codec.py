@@ -30,7 +30,7 @@ def to_bytes(arr):
 
 
 def encode(arr):
-    return base64.b64encode(to_bytes(arr)).decode("ascii")
+    return base64.b64encode(np.asarray(arr, dtype=_DTYPE).tobytes()).decode("ascii")
 
 
 def from_bytes(buf, shape, error, where):
