@@ -95,12 +95,17 @@ def head_nodes(config, features):
     """Differentiable twin of head_forward over a (rows, d_in) features node;
     returns an AffectOutput of nodes."""
     p = {name: ad.param(name, shape) for name, shape in config.param_shapes().items()}
-    h = ad.tanh(ad.affine(features, p["trunk.in.w"], p["trunk.in.b"]))
+
+    def layer(x, name):
+        return ad.affine(x, p[f"{name}.w"], p[f"{name}.b"], name=name)
+
+    h = ad.tanh(layer(features, "trunk.in"), name="trunk.in.tanh")
     for i in range(config.n_blocks):
-        h = ad.add(h, ad.tanh(ad.affine(h, p[f"trunk.block{i}.w"], p[f"trunk.block{i}.b"])))
-    va = ad.tanh(ad.affine(h, p["va.w"], p["va.b"]))
-    expr = ad.softmax(ad.affine(h, p["expr.w"], p["expr.b"]))
-    au = ad.sigmoid(ad.affine(h, p["au.w"], p["au.b"]))
+        block = f"trunk.block{i}"
+        h = ad.add(h, ad.tanh(layer(h, block), name=f"{block}.tanh"), name=f"{block}.residual")
+    va = ad.tanh(layer(h, "va"), name="va.tanh")
+    expr = ad.softmax(layer(h, "expr"), name="expr.softmax")
+    au = ad.sigmoid(layer(h, "au"), name="au.sigmoid")
     return AffectOutput(va=va, expr=expr, au=au)
 
 

@@ -127,10 +127,10 @@ def forward_nodes(config, batch_size, frames=None):
         z = ad.gru(z, weights, config.t, config.d_hidden, name=f"gru{layer}")
     if config.mask_enabled:
         z = ad.mul(z, ad.placeholder("mask", (batch_size, config.t * config.d_hidden)))
-    z3 = ad.tanh(ad.affine(z, params["ff1.w"], params["ff1.b"]))
-    u = ad.affine(z3, params["out.w"], params["out.b"])
+    z3 = ad.tanh(ad.affine(z, params["ff1.w"], params["ff1.b"], name="ff1"), name="ff1.tanh")
+    u = ad.affine(z3, params["out.w"], params["out.b"], name="out")
     if config.sigmoid_output:
-        u = ad.sigmoid(u)
+        u = ad.sigmoid(u, name="out.sigmoid")
     return u
 
 

@@ -20,6 +20,17 @@ keeps per node for the current evaluate call and hands to the backward
 rule: `gru` saves its gates and hidden states instead of recomputing
 them. Values and saved state both live on the Graph, never on a Node.
 
+`Graph.__init__` compiles the topological order into a slot plan: one
+entry per node with its kind (const, leaf or op), its parents' slot
+indices and its forward and backward rules, looked up there and nowhere
+else. One forward loop runs any list of slots under a single
+`np.errstate`; `evaluate` runs it over every slot, and `backward` keeps
+its gradients in a slot list, visiting slots in reverse. `grad_check`
+runs the same loop over only the slots downstream of the perturbed
+parameter, on a copy of the cached values: the same ops on the same
+inputs as a full evaluate, so its records are unchanged and the cache
+still holds the unperturbed pass.
+
 Cycles cannot be constructed: a node's parents are fixed at creation,
 so every expression is a DAG by construction.
 """
@@ -102,9 +113,9 @@ def _broadcast(a, b, op):
         ) from None
 
 
-def add(a, b):
+def add(a, b, name=None):
     a, b = _lift(a), _lift(b)
-    return Node("add", _broadcast(a, b, "add"), (a, b))
+    return Node("add", _broadcast(a, b, "add"), (a, b), name=name)
 
 
 def sub(a, b):
@@ -127,7 +138,7 @@ def scale(a, c):
     return mul(a, constant(float(c)))
 
 
-def matmul(a, b):
+def matmul(a, b, name=None):
     a, b = _lift(a), _lift(b)
     if a.shape == () or b.shape == () or len(a.shape) > 2 or len(b.shape) > 2:
         raise GraphError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
@@ -143,25 +154,25 @@ def matmul(a, b):
         shape += (a.shape[0],)
     if len(b.shape) == 2:
         shape += (b.shape[1],)
-    return Node("matmul", shape, (a, b))
+    return Node("matmul", shape, (a, b), name=name)
 
 
-def tanh(a):
+def tanh(a, name=None):
     a = _lift(a)
-    return Node("tanh", a.shape, (a,))
+    return Node("tanh", a.shape, (a,), name=name)
 
 
-def sigmoid(a):
+def sigmoid(a, name=None):
     a = _lift(a)
-    return Node("sigmoid", a.shape, (a,))
+    return Node("sigmoid", a.shape, (a,), name=name)
 
 
-def softmax(a):
+def softmax(a, name=None):
     """Row-wise softmax over the last axis, computed with max subtraction."""
     a = _lift(a)
     if a.shape == ():
         raise GraphError("softmax: scalar operand")
-    return Node("softmax", a.shape, (a,))
+    return Node("softmax", a.shape, (a,), name=name)
 
 
 def log(a, floor=0.0):
@@ -237,9 +248,15 @@ def concat(nodes, axis=0):
     return Node("concat", shape, nodes, axis=axis)
 
 
-def affine(x, w, b):
-    """x @ w + b, the ubiquitous dense-layer composition."""
-    return add(matmul(x, w), b)
+def affine(x, w, b, name=None):
+    """x @ w + b, the ubiquitous dense-layer composition.
+
+    With a layer `name`, the product is named `<name>.matmul` and the sum
+    `<name>.add`, so a numeric error names the layer.
+    """
+    if name is None:
+        return add(matmul(x, w), b)
+    return add(matmul(x, w, name=f"{name}.matmul"), b, name=f"{name}.add")
 
 
 def reshape(a, shape):
@@ -352,15 +369,21 @@ def np_gru_backward(g, weights, saved):
     da = np.empty((t, b, 3 * hid))  # pre-activation gradients, u | r | c
     dh = np.zeros((b, hid))
     u_zr = np.concatenate([uz, ur], axis=1)
+    # the step-invariant factors, as whole-array ops ahead of the loop
+    u, r = gates
+    c_minus_h = cand - hs[:t]
+    keep = 1.0 - u
+    du_gate = u * keep
+    dc_gate = 1.0 - cand * cand
+    dr_gate = r * (1.0 - r)
     for k in range(t - 1, -1, -1):
         dh = dh + gs[k]
-        hp, u, r, c = hs[k], gates[0, k], gates[1, k], cand[k]
         du, dr, dc = da[k, :, :hid], da[k, :, hid:2 * hid], da[k, :, 2 * hid:]
-        np.multiply(dh * (c - hp), u * (1.0 - u), out=du)
-        np.multiply(dh * u, 1.0 - c * c, out=dc)
+        np.multiply(dh * c_minus_h[k], du_gate[k], out=du)
+        np.multiply(dh * u[k], dc_gate[k], out=dc)
         drh = dc @ uh.T
-        np.multiply(drh * hp, r * (1.0 - r), out=dr)
-        dh = dh * (1.0 - u) + drh * r + da[k, :, :2 * hid] @ u_zr.T
+        np.multiply(drh * hs[k], dr_gate[k], out=dr)
+        dh = dh * keep[k] + drh * r[k] + da[k, :, :2 * hid] @ u_zr.T
     flat = da.reshape(t * b, 3 * hid)
     dw = xs.reshape(t * b, d).T @ flat
     du_zr = hs[:t].reshape(t * b, hid).T @ flat[:, :2 * hid]
@@ -534,6 +557,10 @@ _NEEDS_OUTPUT = {"tanh", "sigmoid", "softmax", "sqrt"}
 # ops backward does not pass through: the leaves, and the gradient-free flag
 _NO_BACKWARD = {"param", "input", "const", "constant_columns"}
 
+# slot kinds of the compiled plan; every op not listed is an _OP
+_CONST, _LEAF, _OP = "const", "leaf", "op"
+_KINDS = {"const": _CONST, "param": _LEAF, "input": _LEAF}
+
 
 def _toposort(root):
     order, seen, stack = [], set(), [(root, False)]
@@ -556,7 +583,7 @@ def _toposort(root):
 
 
 class Graph:
-    """A rooted DAG with cached topological order and evaluation state.
+    """A rooted DAG compiled into a slot plan, with its evaluation state.
 
     Single-writer: evaluate/backward on one instance must not be
     interleaved across threads. Distinct Graph instances are independent
@@ -572,8 +599,48 @@ class Graph:
         # declared-but-unused parameters still get (zero) gradients
         for p in extra_params:
             self.params.setdefault(p.name, p)
+        # one entry per node of `order`: (node, kind, parent slots,
+        # forward rule, backward rule); the root is the last slot
+        self._slot, self._plan = {}, []
+        for node in self.order:
+            op = node.op
+            kind = _KINDS.get(op, _OP)
+            self._plan.append((node, kind, tuple([self._slot[id(p)] for p in node.parents]),
+                               _FORWARD[op] if kind is _OP else None,
+                               None if op in _NO_BACKWARD else _BACKWARD[op]))
+            self._slot[id(node)] = len(self._slot)
         self._values = None
         self._saved = None
+
+    def _run(self, slots, values, saved, bindings):
+        """The one forward loop: fill `values` (and `saved`) at `slots`,
+        in order, reading leaves from `bindings`."""
+        plan = self._plan
+        with np.errstate(all="ignore"):
+            for k in slots:
+                node, kind, parents, forward, _ = plan[k]
+                if kind is _OP:
+                    v = forward(node, *[values[i] for i in parents])
+                    if node.op in _SAVES_STATE:
+                        v, saved[k] = v
+                    if not np.isfinite(v).all():
+                        bad = ~np.isfinite(np.asarray(v))
+                        idx = int(np.flatnonzero(bad.ravel())[0])
+                        raise GraphError(
+                            f"non-finite value in node '{node.name}' at flat index {idx}"
+                        )
+                elif kind is _LEAF:
+                    if node.name not in bindings:
+                        raise GraphError(f"missing binding for leaf '{node.name}'")
+                    v = np.asarray(bindings[node.name], dtype=np.float64)
+                    if v.shape != node.shape:
+                        raise GraphError(
+                            f"binding for '{node.name}' has shape {v.shape}, "
+                            f"expected {node.shape}"
+                        )
+                else:
+                    v = node.attrs["value"]
+                values[k] = v
 
     def evaluate(self, bindings):
         """Run the forward pass; returns the root value.
@@ -582,40 +649,25 @@ class Graph:
         declared shape (extra keys are ignored). Intermediate values are
         cached for backward.
         """
-        values, saved = {}, {}
-        for node in self.order:
-            if node.op == "const":
-                v = node.attrs["value"]
-            elif node.op in ("param", "input"):
-                if node.name not in bindings:
-                    raise GraphError(f"missing binding for leaf '{node.name}'")
-                v = np.asarray(bindings[node.name], dtype=np.float64)
-                if v.shape != node.shape:
-                    raise GraphError(
-                        f"binding for '{node.name}' has shape {v.shape}, "
-                        f"expected {node.shape}"
-                    )
-            else:
-                args = [values[id(p)] for p in node.parents]
-                with np.errstate(all="ignore"):
-                    v = _FORWARD[node.op](node, *args)
-                if node.op in _SAVES_STATE:
-                    v, saved[id(node)] = v
-                bad = ~np.isfinite(np.asarray(v))
-                if bad.any():
-                    idx = int(np.flatnonzero(bad.ravel())[0])
-                    raise GraphError(
-                        f"non-finite value in node '{node.name}' at flat index {idx}"
-                    )
-            values[id(node)] = v
+        values, saved = [None] * len(self._plan), {}
+        self._run(range(len(self._plan)), values, saved, bindings)
         self._values, self._saved = values, saved
-        return values[id(self.root)]
+        return values[-1]
 
     def cached_value(self, node):
         """Value of any node from the most recent evaluate call."""
         if self._values is None:
             raise GraphError("cached_value called before evaluate")
-        return self._values[id(node)]
+        return self._values[self._slot[id(node)]]
+
+    def _downstream(self, name):
+        """Slots of the leaf `name` and of every node that reads it, in plan
+        order; empty when the root never reads that leaf."""
+        reached = set()
+        for k, (node, kind, parents, _, _) in enumerate(self._plan):
+            if (kind is _LEAF and node.name == name) or not reached.isdisjoint(parents):
+                reached.add(k)
+        return sorted(reached)
 
     def backward(self):
         """Gradient of the scalar root w.r.t. every parameter leaf.
@@ -627,30 +679,28 @@ class Graph:
             raise GraphError("backward called before evaluate")
         if self.root.shape != ():
             raise GraphError(f"root must be scalar, has shape {self.root.shape}")
-        values = self._values
-        grads = {id(self.root): np.ones((), dtype=np.float64)}
-        for node in reversed(self.order):
-            if node.op in _NO_BACKWARD:
+        values, saved = self._values, self._saved
+        grads = [None] * len(self._plan)
+        grads[-1] = np.ones((), dtype=np.float64)
+        for k in range(len(self._plan) - 1, -1, -1):
+            node, _, parents, _, backward = self._plan[k]
+            g = grads[k]
+            if backward is None or g is None:
                 continue
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            args = [values[id(p)] for p in node.parents]
+            grads[k] = None
+            args = [values[i] for i in parents]
             if node.op in _NEEDS_OUTPUT:
-                args.append(values[id(node)])
+                args.append(values[k])
             if node.op in _SAVES_STATE:
-                args.append(self._saved[id(node)])
-            parent_grads = _BACKWARD[node.op](node, g, *args)
-            for p, pg in zip(node.parents, parent_grads):
-                key = id(p)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
-        return {
-            name: grads.get(id(p), np.zeros(p.shape))
-            for name, p in self.params.items()
-        }
+                args.append(saved[k])
+            for i, pg in zip(parents, backward(node, g, *args)):
+                grads[i] = pg if grads[i] is None else grads[i] + pg
+        out = {}
+        for name, p in self.params.items():
+            k = self._slot.get(id(p))
+            g = None if k is None else grads[k]
+            out[name] = np.zeros(p.shape) if g is None else g
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -747,21 +797,24 @@ def grad_check(graph, bindings, epsilon=1e-6, n_coords=100, seed=0, skip_params=
     else:
         flat = np.sort(rng.choice(total, size=n_coords, replace=False))
 
+    # each trial re-runs only what the perturbed leaf reaches, on a copy
+    # of the unperturbed values, which stay cached
+    slots = {}
     for f in flat:
         k = int(np.searchsorted(offsets, f, side="right") - 1)
         name, idx = names[k], int(f - offsets[k])
+        if name not in slots:
+            slots[name] = graph._downstream(name)
         base = np.asarray(bindings[name], dtype=np.float64)
         fd = []
         for delta in (epsilon, -epsilon):
             bumped = base.copy().reshape(-1)
             bumped[idx] += delta
-            trial = dict(bindings)
-            trial[name] = bumped.reshape(base.shape)
-            fd.append(float(graph.evaluate(trial)))
+            values = list(graph._values)
+            graph._run(slots[name], values, {}, {name: bumped.reshape(base.shape)})
+            fd.append(float(values[-1]))
         numeric = (fd[0] - fd[1]) / (2.0 * epsilon)
         ga = float(np.asarray(analytic[name]).reshape(-1)[idx])
         rel = abs(ga - numeric) / max(abs(ga), abs(numeric), 1e-12)
         report.records.append(CoordRecord(name, idx, ga, numeric, rel))
-
-    graph.evaluate(bindings)  # restore unperturbed cache
     return report

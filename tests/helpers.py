@@ -1,10 +1,12 @@
 """Helpers shared by the test modules: values of the node builders the
 training graphs compose, evaluated on constant inputs, the concordance
 oracle the valence-arousal loss is checked against, the whole-array Adam
-formula the blocked optimizer is checked against, a second, independent
-implementation of the stored array format and of the checkpoint file
-layout, and the inputs and quiet command-line runner of the config and
-checkpoint fuzz tests."""
+formula the blocked optimizer is checked against, the graph engine's
+oracles (an id-keyed evaluate/backward, a grad_check that re-evaluates
+the whole graph per trial, and the per-step GRU backward formula), a
+second, independent implementation of the stored array format and of the
+checkpoint file layout, and the inputs and quiet command-line runner of
+the config and checkpoint fuzz tests."""
 
 import base64
 import contextlib
@@ -81,6 +83,124 @@ def adam_oracle(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8)
         update = (new_m[name] / bc1) / (np.sqrt(new_v[name] / bc2) + eps)
         new_params[name] = p - lr * update
     return new_params, new_m, new_v
+
+
+def dict_evaluate(graph, bindings):
+    """Forward pass of `graph` node by node over `graph.order`, values keyed
+    by node id: the engine before its slot plan. Returns (values, saved)."""
+    values, saved = {}, {}
+    for node in graph.order:
+        if node.op == "const":
+            v = node.attrs["value"]
+        elif node.op in ("param", "input"):
+            if node.name not in bindings:
+                raise ad.GraphError(f"missing binding for leaf '{node.name}'")
+            v = np.asarray(bindings[node.name], dtype=np.float64)
+            if v.shape != node.shape:
+                raise ad.GraphError(
+                    f"binding for '{node.name}' has shape {v.shape}, expected {node.shape}")
+        else:
+            args = [values[id(p)] for p in node.parents]
+            with np.errstate(all="ignore"):
+                v = ad._FORWARD[node.op](node, *args)
+            if node.op in ad._SAVES_STATE:
+                v, saved[id(node)] = v
+            bad = ~np.isfinite(np.asarray(v))
+            if bad.any():
+                idx = int(np.flatnonzero(bad.ravel())[0])
+                raise ad.GraphError(f"non-finite value in node '{node.name}' at flat index {idx}")
+        values[id(node)] = v
+    return values, saved
+
+
+def dict_backward(graph, values, saved):
+    """Gradients of the scalar root of `graph` from dict_evaluate's state,
+    accumulated in an id-keyed dict in reverse topological order."""
+    grads = {id(graph.root): np.ones((), dtype=np.float64)}
+    for node in reversed(graph.order):
+        if node.op in ad._NO_BACKWARD:
+            continue
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        args = [values[id(p)] for p in node.parents]
+        if node.op in ad._NEEDS_OUTPUT:
+            args.append(values[id(node)])
+        if node.op in ad._SAVES_STATE:
+            args.append(saved[id(node)])
+        for p, pg in zip(node.parents, ad._BACKWARD[node.op](node, g, *args)):
+            key = id(p)
+            grads[key] = grads[key] + pg if key in grads else pg
+    return {name: grads.get(id(p), np.zeros(p.shape)) for name, p in graph.params.items()}
+
+
+def full_grad_check(graph, bindings, epsilon=1e-6, n_coords=100, seed=0, skip_params=()):
+    """grad_check with every trial a whole-graph dict_evaluate of a copy of
+    `bindings`; returns the GradientReport."""
+    report = ad.GradientReport(epsilon=epsilon, seed=seed)
+    lo, hi = ad.EPSILON_BAND
+    if not lo <= epsilon <= hi:
+        report.warnings.append(
+            f"epsilon {epsilon:g} outside [{lo:g}, {hi:g}]; truncation or "
+            "roundoff error may dominate the comparison"
+        )
+    analytic = dict_backward(graph, *dict_evaluate(graph, bindings))
+    names = sorted(n for n in graph.params if n not in set(skip_params))
+    sizes = [int(np.prod(graph.params[n].shape)) if graph.params[n].shape else 1
+             for n in names]
+    offsets = np.cumsum([0] + sizes)
+    total = int(offsets[-1])
+    rng = np.random.default_rng(seed)
+    if n_coords >= total:
+        flat = np.arange(total)
+    else:
+        flat = np.sort(rng.choice(total, size=n_coords, replace=False))
+    for f in flat:
+        k = int(np.searchsorted(offsets, f, side="right") - 1)
+        name, idx = names[k], int(f - offsets[k])
+        base = np.asarray(bindings[name], dtype=np.float64)
+        fd = []
+        for delta in (epsilon, -epsilon):
+            bumped = base.copy().reshape(-1)
+            bumped[idx] += delta
+            trial = dict(bindings)
+            trial[name] = bumped.reshape(base.shape)
+            fd.append(float(dict_evaluate(graph, trial)[0][id(graph.root)]))
+        numeric = (fd[0] - fd[1]) / (2.0 * epsilon)
+        ga = float(np.asarray(analytic[name]).reshape(-1)[idx])
+        rel = abs(ga - numeric) / max(abs(ga), abs(numeric), 1e-12)
+        report.records.append(ad.CoordRecord(name, idx, ga, numeric, rel))
+    return report
+
+
+def gru_backward_oracle(g, weights, saved):
+    """np_gru_backward with every gate factor formed inside the step loop."""
+    xs, hs, gates, cand, rh = saved
+    wz, uz, _, wr, ur, _, wh, uh, _ = weights
+    t, b, d = xs.shape
+    hid = uz.shape[0]
+    gs = g.reshape(b, t, hid).transpose(1, 0, 2)
+    da = np.empty((t, b, 3 * hid))
+    dh = np.zeros((b, hid))
+    u_zr = np.concatenate([uz, ur], axis=1)
+    for k in range(t - 1, -1, -1):
+        dh = dh + gs[k]
+        hp, u, r, c = hs[k], gates[0, k], gates[1, k], cand[k]
+        du, dr, dc = da[k, :, :hid], da[k, :, hid:2 * hid], da[k, :, 2 * hid:]
+        np.multiply(dh * (c - hp), u * (1.0 - u), out=du)
+        np.multiply(dh * u, 1.0 - c * c, out=dc)
+        drh = dc @ uh.T
+        np.multiply(drh * hp, r * (1.0 - r), out=dr)
+        dh = dh * (1.0 - u) + drh * r + da[k, :, :2 * hid] @ u_zr.T
+    flat = da.reshape(t * b, 3 * hid)
+    dw = xs.reshape(t * b, d).T @ flat
+    du_zr = hs[:t].reshape(t * b, hid).T @ flat[:, :2 * hid]
+    duh = rh.reshape(t * b, hid).T @ flat[:, 2 * hid:]
+    db = flat.sum(axis=0)
+    dx = (flat @ np.concatenate([wz, wr, wh], axis=1).T).reshape(t, b, d).transpose(1, 0, 2)
+    gz, gr, gc = slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, None)
+    return (dx.reshape(b, t * d), dw[:, gz], du_zr[:, gz], db[gz], dw[:, gr], du_zr[:, gr],
+            db[gr], dw[:, gc], duh, db[gc])
 
 
 def b64(values):

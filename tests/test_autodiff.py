@@ -1,9 +1,16 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectseq import affect_head as head
+from affectseq import aggregator as agg
 from affectseq import autodiff as ad
+from affectseq import verification
+from affectseq.data import FrameRecipe, frame_batch, gen_frame_dataset
+from helpers import dict_backward, dict_evaluate, full_grad_check, gru_backward_oracle
 
 
 def scalar_graph(node, **extra):
@@ -345,3 +352,127 @@ def test_gru_overflowing_preactivation_names_node_and_step():
                  name="gru0")
     with pytest.raises(ad.GraphError, match="gru0 step 3"):
         ad.Graph(ad.reduce_sum(out)).evaluate(weights)
+
+
+@pytest.mark.parametrize("b,t,d,hid", [(16, 24, 26, 20), (16, 32, 26, 16), (4, 480, 26, 128),
+                                       (3, 5, 6, 4)])
+def test_gru_backward_matches_per_step_formula(b, t, d, hid):
+    rng = np.random.default_rng(b * t + hid)
+    weights = list(_gru_weights(rng, d, hid, scale=0.4).values())
+    out, saved = ad.np_gru(rng.normal(size=(b, t * d)), weights, t)
+    g = rng.normal(size=out.shape)
+    got = ad.np_gru_backward(g, weights, saved)
+    want = gru_backward_oracle(g, weights, saved)
+    assert len(got) == len(want) == 10
+    for a, e in zip(got, want):
+        np.testing.assert_array_equal(a, e)
+
+
+# ---------------------------------------------------------------------------
+# the slot plan against the id-keyed engine; grad_check's downstream trials
+
+
+def _target_case(name):
+    rng = np.random.default_rng(zlib.crc32(name.encode()) % 1000)
+    return verification.TARGETS[name](rng)
+
+
+def _desk_runner_case(kind):
+    """A desk-shape BatchRunner loss graph (t=32, H=16) over 5 videos."""
+    config = agg.AggregatorConfig(mask_enabled=kind != "unmasked")
+    head_config = head.HeadConfig(d_in=12, width=12, n_blocks=1) if kind == "joint" else None
+    rng = np.random.default_rng(23)
+    d = config.d_in if head_config is None else head_config.d_in
+    frames = rng.normal(size=(5, config.t, d))
+    lengths = np.array([8, 32, 17, 9, 30])
+    labels = rng.uniform(size=(5, config.n_out))
+    runner = agg.BatchRunner(config, 5, "pearson", head_config=head_config)
+    params = agg.init_params(config, seed=4)
+    if head_config is not None:
+        params.update(head.init_head_params(head_config, seed=5))
+    return runner.graph, agg.batch_bindings(config, params, frames, lengths, labels, d)
+
+
+def _head_loss_case():
+    config = head.HeadConfig(d_in=8, width=8, n_blocks=2)
+    mix = (("va", 0.3), ("expr", 0.2), ("au", 0.3), ("all", 0.2))
+    samples, _ = gen_frame_dataset(31, 12, FrameRecipe(d_in=8, label_mix=mix))
+    graph, _, _ = head.head_loss_graph(config, frame_batch(samples))
+    return graph, head.init_head_params(config, seed=6)
+
+
+PLAN_CASES = [*verification.TARGETS, "desk_masked", "desk_unmasked", "desk_joint", "head_loss"]
+
+
+def _plan_case(name):
+    if name.startswith("desk_"):
+        return _desk_runner_case(name[len("desk_"):])
+    if name == "head_loss":
+        return _head_loss_case()
+    return _target_case(name)
+
+
+@pytest.mark.parametrize("name", PLAN_CASES)
+def test_plan_matches_id_keyed_engine(name):
+    graph, bindings = _plan_case(name)
+    values, saved = dict_evaluate(graph, bindings)
+    root = graph.evaluate(bindings)
+    np.testing.assert_array_equal(root, values[id(graph.root)])
+    for node in graph.order:
+        np.testing.assert_array_equal(graph.cached_value(node), values[id(node)])
+    got, want = graph.backward(), dict_backward(graph, values, saved)
+    assert list(got) == list(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
+
+
+@pytest.mark.parametrize("name", list(verification.TARGETS))
+def test_downstream_grad_check_matches_full_reevaluation(name):
+    graph, bindings = _target_case(name)
+    args = dict(epsilon=verification.EPSILON, n_coords=verification.N_COORDS, seed=0)
+    report = ad.grad_check(graph, bindings, **args)
+    assert report.to_dict() == full_grad_check(graph, bindings, **args).to_dict()
+
+
+def test_downstream_grad_check_of_unread_and_skipped_params():
+    rng = np.random.default_rng(8)
+    x, w = ad.param("x", (3,)), ad.param("w", (3, 2))
+    unread = ad.param("unread", (2, 2))
+    root = ad.reduce_sum(ad.tanh(ad.matmul(x, w)))
+    bindings = {"x": rng.normal(size=3), "w": rng.normal(size=(3, 2)),
+                "unread": rng.normal(size=(2, 2))}
+    graph = ad.Graph(root, extra_params=[unread])
+    report = ad.grad_check(graph, bindings, n_coords=13)
+    assert report.to_dict() == full_grad_check(graph, bindings, n_coords=13).to_dict()
+    assert [r.numeric for r in report.records if r.param == "unread"] == [0.0] * 4
+    skipped = ad.grad_check(graph, bindings, n_coords=5, seed=3, skip_params=("w",))
+    assert skipped.to_dict() == full_grad_check(
+        graph, bindings, n_coords=5, seed=3, skip_params=("w",)).to_dict()
+    assert {r.param for r in skipped.records} == {"x", "unread"}
+
+
+def test_downstream_trial_names_the_non_finite_node():
+    x = ad.param("x", (3,))
+    node = ad.sqrt(x)
+    graph = ad.Graph(ad.reduce_sum(ad.mul(node, ad.constant([1.0, 2.0, 3.0]))))
+    # the -epsilon trial at x[1] = 0 takes the square root of a negative
+    with np.errstate(divide="ignore"), \
+            pytest.raises(ad.GraphError, match=f"non-finite value in node '{node.name}' "
+                                               "at flat index 1$"):
+        ad.grad_check(graph, {"x": np.array([1.0, 0.0, 4.0])}, n_coords=3)
+
+
+def test_numeric_error_names_the_layer():
+    config = agg.AggregatorConfig(d_in=3, t=4, d_hidden=2, d_ff=3)
+    params = agg.init_params(config, seed=1)
+    params["ff1.w"] = params["ff1.w"].copy()
+    params["ff1.w"][2, 1] = np.nan
+    frames = np.random.default_rng(2).normal(size=(2, 4, 3))
+    with pytest.raises(ad.GraphError, match=r"node 'ff1\."):
+        agg.BatchRunner(config, 2).forward(params, frames, [4, 2])
+    hc = head.HeadConfig(d_in=8, width=8, n_blocks=2)
+    hp = head.init_head_params(hc, seed=1)
+    hp["trunk.block1.b"] = np.full(8, np.inf)
+    out = head.head_nodes(hc, ad.constant(np.ones((2, 8))))
+    with pytest.raises(ad.GraphError, match=r"node 'trunk\.block1\."):
+        ad.Graph(ad.reduce_sum(out.va)).evaluate(hp)

@@ -4,6 +4,8 @@ Every top-level function, class and method under src/affectseq must be
 referenced, as a name or an attribute, somewhere in src/ or perfbench/
 outside its own definition. Code reached only from tests belongs in
 tests/. Dunder methods are exempt: the language calls them.
+
+The graph engine's rule tables are subscripted at one place each.
 """
 
 import ast
@@ -47,3 +49,13 @@ def test_every_src_definition_is_used_outside_tests():
             if everywhere[name] == _referenced_names(node)[name]:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "defined in src/ but used only by tests: " + ", ".join(unused)
+
+
+def test_rule_tables_have_one_dispatch_point():
+    # the graph engine looks each rule up in one place, when it compiles
+    # its plan, so a per-op profile has one call site to time
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text())
+    subscripted = Counter(node.value.id for node in ast.walk(tree)
+                          if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name))
+    assert subscripted["_FORWARD"] == 1
+    assert subscripted["_BACKWARD"] == 1
