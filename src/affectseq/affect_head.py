@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import optim
 from .affect_space import N_AUS, N_EXPRESSIONS, relatedness_matrix
 
 LOG_FLOOR = 1e-12
@@ -54,17 +55,6 @@ class HeadConfig:
             }
         )
         return shapes
-
-
-def init_head_params(config, seed):
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in config.param_shapes().items():
-        if name.endswith(".b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(size=shape) / np.sqrt(shape[0])
-    return params
 
 
 @dataclass
@@ -204,14 +194,38 @@ class FrameBatch:
         return self.features.shape[0]
 
 
+def frame_batch(samples):
+    """Stack frame samples into a FrameBatch; absent labels are masked out."""
+    n = len(samples)
+    d = samples[0].features.shape[0]
+    batch = FrameBatch(
+        features=np.zeros((n, d)),
+        va=np.zeros((n, 2)),
+        va_mask=np.zeros(n, dtype=bool),
+        expr=np.full(n, -1, dtype=int),
+        expr_mask=np.zeros(n, dtype=bool),
+        au=np.zeros((n, N_AUS)),
+        au_mask=np.zeros(n, dtype=bool),
+    )
+    for i, s in enumerate(samples):
+        batch.features[i] = s.features
+        if s.va is not None:
+            batch.va[i] = s.va
+            batch.va_mask[i] = True
+        if s.expr is not None:
+            batch.expr[i] = s.expr
+            batch.expr_mask[i] = True
+        if s.au is not None:
+            batch.au[i] = s.au
+            batch.au_mask[i] = True
+    return batch
+
+
 @dataclass
 class HeadLoss:
     total: float
     terms: dict
     absent: tuple
-
-    def __post_init__(self):
-        self.terms = {k: float(v) for k, v in self.terms.items()}
 
 
 TERM_NAMES = ("ccc", "cce", "bce", "coupling")
@@ -266,27 +280,23 @@ def head_loss_graph(config, batch):
     return ad.Graph(total, extra_params=extra), term_nodes, tuple(absent)
 
 
-def head_loss(batch, params, config):
-    """Total multi-task loss with per-term breakdown for one batch."""
+def _evaluate_head_loss(batch, params, config):
+    """Build and evaluate one batch's loss graph; returns (graph, HeadLoss)."""
     graph, term_nodes, absent = head_loss_graph(config, batch)
     total = float(graph.evaluate(params))
     terms = {name: 0.0 for name in TERM_NAMES}
     for name, node in term_nodes.items():
         terms[name] = float(graph.cached_value(node))
-    return HeadLoss(total=total, terms=terms, absent=absent)
+    return graph, HeadLoss(total=total, terms=terms, absent=absent)
+
+
+def head_loss(batch, params, config):
+    """Total multi-task loss with per-term breakdown for one batch."""
+    return _evaluate_head_loss(batch, params, config)[1]
 
 
 def head_train_step(batch, params, opt_state, lr, config):
     """One Adam step on the multi-task loss; returns (params, state, loss)."""
-    from .optim import adam_step
-
-    graph, term_nodes, absent = head_loss_graph(config, batch)
-    total = float(graph.evaluate(params))
-    if not np.isfinite(total):
-        raise ad.GraphError("non-finite loss")
-    grads = graph.backward()
-    terms = {name: 0.0 for name in TERM_NAMES}
-    for name, node in term_nodes.items():
-        terms[name] = float(graph.cached_value(node))
-    new_params, new_state = adam_step(params, grads, opt_state, lr)
-    return new_params, new_state, HeadLoss(total=total, terms=terms, absent=absent)
+    graph, loss = _evaluate_head_loss(batch, params, config)
+    new_params, new_state = optim.adam_step(params, graph.backward(), opt_state, lr)
+    return new_params, new_state, loss

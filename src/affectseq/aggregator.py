@@ -9,6 +9,9 @@ In the batched graph each GRU layer is one fused `autodiff.gru` node
 over a (batch, t*d) frames placeholder. The numeric twin `gru_forward` runs
 the same kernel on a batch of one; the unrolled step-by-step composition,
 the oracle the fused op is tested against, lives in tests/test_aggregator.py.
+A `BatchRunner` holds one compiled graph per (config, batch size): the
+forward pass that `predict` runs, or the training loss built over it.
+Initial parameters come from `optim.init_params`.
 
 Because the masked coordinates are exactly zero, the first feed-forward
 layer's weights attached to those positions receive exactly-zero
@@ -56,17 +59,6 @@ class AggregatorConfig:
         shapes["out.w"] = (self.d_ff, self.n_out)
         shapes["out.b"] = (self.n_out,)
         return shapes
-
-
-def init_params(config, seed):
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in config.param_shapes().items():
-        if name.split(".")[-1].startswith("b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(size=shape) / np.sqrt(shape[0])
-    return params
 
 
 def gru_forward(frames, params, prefix="gru0"):
@@ -190,18 +182,18 @@ def batch_bindings(config, params, frames, lengths, labels=None, d_frame=None):
 
 
 class BatchRunner:
-    """Reusable graphs for one (config, batch size): forward and loss.
+    """One reusable graph for one (config, batch size): the forward pass,
+    or, given a `loss_kind`, that loss built over it.
 
-    With a `head_config`, the multi-task head runs once over all
-    batch*t frames of width head_config.d_in, and its 26-wide outputs
-    are reshaped back into the (batch, t*26) sequence the aggregator
-    reads, so the graph trains head and aggregator jointly.
+    A plain runner serves `forward`, a loss runner `step`. With a
+    `head_config`, the multi-task head runs once over all batch*t frames
+    of width head_config.d_in, and its 26-wide outputs are reshaped back
+    into the (batch, t*26) sequence the aggregator reads, so the graph
+    trains head and aggregator jointly.
     """
 
     def __init__(self, config, batch_size, loss_kind=None, head_config=None):
         self.config = config
-        self.batch_size = batch_size
-        self.loss_kind = loss_kind
         self.d_frame = config.d_in
         seq = None
         if head_config is not None:
@@ -211,23 +203,21 @@ class BatchRunner:
             out = head_nodes(head_config, rows)
             affect = ad.concat([out.va, out.expr, out.au], axis=1)
             seq = ad.reshape(affect, (batch_size, config.t * config.d_in))
-        self.u = forward_nodes(config, batch_size, seq)
-        self.forward_graph = ad.Graph(self.u)
-        self.graph = self.forward_graph
+        root = forward_nodes(config, batch_size, seq)
         if loss_kind is not None:
             labels = ad.placeholder("labels", (batch_size, config.n_out))
-            self.graph = ad.Graph(loss_node(self.u, labels, loss_kind))
+            root = loss_node(root, labels, loss_kind)
+        self.graph = ad.Graph(root)
 
     def forward(self, params, frames, lengths):
+        """The (batch, n_out) outputs of a plain runner."""
         bindings = batch_bindings(self.config, params, frames, lengths, d_frame=self.d_frame)
-        return self.forward_graph.evaluate(bindings)
+        return self.graph.evaluate(bindings)
 
     def step(self, params, opt_state, frames, lengths, labels, lr):
-        """One Adam step; returns (params, opt_state, loss value)."""
+        """One Adam step of a loss runner; returns (params, opt_state, loss value)."""
         bindings = batch_bindings(self.config, params, frames, lengths, labels, self.d_frame)
         value = float(self.graph.evaluate(bindings))
-        if not np.isfinite(value):
-            raise ad.GraphError("non-finite loss")
         grads = self.graph.backward()
         if self.config.mask_enabled:
             _assert_routing(grads["ff1.w"], lengths, self.config)

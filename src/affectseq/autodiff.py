@@ -7,7 +7,7 @@ The primitive set is closed; every layer and loss in this package is a
 composition of the primitives below, so each backward rule stays small
 enough to verify by finite differences.
 
-Besides elementwise, matmul, reduction and concat primitives the set
+Besides elementwise, 2-d matmul, reduction and concat primitives the set
 holds `reshape` (a row-major view, for running one layer over all
 frames of a batch at once) and `gru`, a whole GRU layer over t steps
 with a hand-written backpropagation-through-time rule. Its oracle, the
@@ -38,7 +38,6 @@ so every expression is a DAG by construction.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,22 +138,16 @@ def scale(a, c):
 
 
 def matmul(a, b, name=None):
+    """Product of two 2-d operands."""
     a, b = _lift(a), _lift(b)
-    if a.shape == () or b.shape == () or len(a.shape) > 2 or len(b.shape) > 2:
-        raise GraphError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    ka = a.shape[-1]
-    kb = b.shape[0]
-    if ka != kb:
+    if len(a.shape) != 2 or len(b.shape) != 2:
+        raise GraphError(f"matmul: operands must be 2-d, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise GraphError(
             f"matmul: inner extents differ, {a.shape} @ {b.shape} "
             f"(operands {a.name}, {b.name})"
         )
-    shape = ()
-    if len(a.shape) == 2:
-        shape += (a.shape[0],)
-    if len(b.shape) == 2:
-        shape += (b.shape[1],)
-    return Node("matmul", shape, (a, b), name=name)
+    return Node("matmul", (a.shape[0], b.shape[1]), (a, b), name=name)
 
 
 def tanh(a, name=None):
@@ -462,12 +455,7 @@ def _unbroadcast(grad, shape):
 
 
 def _bw_matmul(node, g, a, b):
-    a2 = a.reshape(1, -1) if a.ndim == 1 else a
-    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
-    g2 = g.reshape(a2.shape[0], b2.shape[1])
-    da = g2 @ b2.T
-    db = a2.T @ g2
-    return da.reshape(a.shape), db.reshape(b.shape)
+    return g @ b.T, a.T @ g
 
 
 def _bw_softmax(node, g, y):
@@ -595,7 +583,6 @@ class Graph:
         self.root = root
         self.order = _toposort(root)
         self.params = {n.name: n for n in self.order if n.op == "param"}
-        self.inputs = {n.name: n for n in self.order if n.op == "input"}
         # declared-but-unused parameters still get (zero) gradients
         for p in extra_params:
             self.params.setdefault(p.name, p)
@@ -749,9 +736,6 @@ class GradientReport:
             "warnings": list(self.warnings),
             "records": [vars(r) for r in self.records],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def grad_check(graph, bindings, epsilon=1e-6, n_coords=100, seed=0, skip_params=()):

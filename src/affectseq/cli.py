@@ -28,6 +28,7 @@ import numpy as np
 
 from . import aggregator as agg
 from . import atomic, data, metrics, training, verification
+from .affect_space import FEATURE_DIM
 from .autodiff import GraphError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_config, check_schema_version
@@ -136,6 +137,10 @@ def _load_kind(path, kind, context):
 
 
 def _check_param_shapes(params, expected_shapes, context):
+    """The parameters must be exactly the config's names, at its shapes."""
+    for name in params:
+        if name not in expected_shapes:
+            raise CheckpointError(f"{context}: checkpoint has extra parameter {name!r}")
     for name, shape in expected_shapes.items():
         if name not in params:
             raise CheckpointError(f"{context}: checkpoint lacks parameter {name!r}")
@@ -225,7 +230,7 @@ def cmd_train(config):
         _check_dims(manifest, config.t, config.d_in, "the config")
         parts = _split_from_config(samples, config)
         head_config = config.head_config()
-        agg_config = config.aggregator_config(d_in=26)
+        agg_config = config.aggregator_config(d_in=FEATURE_DIM)
         init_head = _load_params(config.head_checkpoint, "head", head_config.param_shapes(),
                                  "--head-checkpoint")
         init_agg = _load_params(config.checkpoint, "aggregator", agg_config.param_shapes(),
@@ -268,7 +273,7 @@ def cmd_eval(config):
         preds = agg.predict(part, ck.params, agg_config)
     else:
         head_config = run.head_config()
-        agg_config = run.aggregator_config(d_in=26)
+        agg_config = run.aggregator_config(d_in=FEATURE_DIM)
         hp, ap = training.split_joint_params(ck.params, head_config)
         _check_param_shapes(hp, head_config.param_shapes(), "eval")
         _check_param_shapes(ap, agg_config.param_shapes(), "eval")
@@ -325,8 +330,8 @@ def cmd_gradcheck(config, epsilon):
 def cmd_ablate(config):
     out = _out_dir(config)
     samples, manifest = _load_videos(config)
-    if manifest.d != 26 or manifest.recipe.get("feature_kind", "affect") != "affect":
-        raise ConfigError("ablation needs a full 26-dim affect video dataset")
+    if manifest.d != FEATURE_DIM or manifest.recipe.get("feature_kind", "affect") != "affect":
+        raise ConfigError(f"ablation needs a full {FEATURE_DIM}-dim affect video dataset")
     _check_dims(manifest, config.t, None, "the config")
     parts = _split_from_config(samples, config)
     _nonempty(parts["train"], "train", config)

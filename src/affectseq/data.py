@@ -43,7 +43,6 @@ from .affect_space import (
     expression_index,
     relatedness_matrix,
 )
-from .affect_head import FrameBatch
 from .autodiff import np_softmax
 
 SCHEMA_VERSION = "2"
@@ -152,6 +151,10 @@ class DatasetManifest:
             raise DatasetError(f"{where}: field 'recipe' is not a JSON object")
         if not isinstance(blob["kind"], str):
             raise DatasetError(f"{where}: field 'kind' is not a string")
+        if blob["kind"] not in ("frames", "videos"):
+            raise DatasetError(
+                f"{where}: field 'kind' is {blob['kind']!r}, expected 'frames' or 'videos'"
+            )
         for key in ("seed", "n", "d", "t"):
             value = blob.get(key)
             # frame datasets have no padded length
@@ -545,32 +548,6 @@ def split(samples, fractions, seed):
     val = shuffled[counts[0]: counts[0] + counts[1]]
     test = shuffled[counts[0] + counts[1]:]
     return {"train": train, "val": val, "test": test}
-
-
-def frame_batch(samples):
-    n = len(samples)
-    d = samples[0].features.shape[0]
-    batch = FrameBatch(
-        features=np.zeros((n, d)),
-        va=np.zeros((n, 2)),
-        va_mask=np.zeros(n, dtype=bool),
-        expr=np.full(n, -1, dtype=int),
-        expr_mask=np.zeros(n, dtype=bool),
-        au=np.zeros((n, len(AU_IDS))),
-        au_mask=np.zeros(n, dtype=bool),
-    )
-    for i, s in enumerate(samples):
-        batch.features[i] = s.features
-        if s.va is not None:
-            batch.va[i] = s.va
-            batch.va_mask[i] = True
-        if s.expr is not None:
-            batch.expr[i] = s.expr
-            batch.expr_mask[i] = True
-        if s.au is not None:
-            batch.au[i] = s.au
-            batch.au_mask[i] = True
-    return batch
 
 
 def video_arrays(samples):

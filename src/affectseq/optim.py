@@ -1,4 +1,7 @@
-"""Adam over named parameter dictionaries.
+"""Parameter initialization and Adam over named parameter dictionaries.
+
+`init_params` draws the seeded starting point of any model whose config
+has `param_shapes()`, the head's and the aggregator's alike.
 
 `adam_step` returns fresh parameter arrays and never writes to the
 parameters it is given, so a caller may keep any earlier parameter dict
@@ -21,6 +24,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BLOCK = 1 << 14
+
+
+def init_params(config, seed):
+    """Seeded initial parameters for `config.param_shapes()`, in that order.
+
+    A name whose last dotted component starts with "b" is a bias and
+    starts at zero; every other parameter is drawn from N(0, 1)/sqrt(fan_in),
+    fan_in being its first extent.
+    """
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in config.param_shapes().items():
+        if name.split(".")[-1].startswith("b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(size=shape) / np.sqrt(shape[0])
+    return params
 
 
 @dataclass

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import affect_head as head
 from . import aggregator as agg
-from . import atomic, metrics
-from .data import VideoSample, frame_batch, video_arrays
-from .optim import adam_init
+from . import atomic, metrics, optim
+from .data import VideoSample, video_arrays
 
 
 @dataclass
@@ -46,10 +45,6 @@ def _epoch_batches(n, batch_size, rng, min_size=1):
             yield idx
 
 
-def mean_correlation(preds, labels):
-    return metrics.evaluate(preds, labels).mean
-
-
 def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,
         metric_key, higher_is_better):
     """Train for `epochs` passes over `n` examples; keep the best epoch.
@@ -63,7 +58,7 @@ def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,
     returned it, not copied: `step` must return fresh arrays and never
     write to the ones it is given, as `optim.adam_step` does.
     """
-    state = adam_init(params)
+    state = optim.adam_init(params)
     rng = np.random.default_rng(seed)
     best = TrainOutcome(params=params, best_epoch=0, best_metric=validate(params))
     history = []
@@ -101,7 +96,7 @@ def _fit_videos(params, train_samples, val_samples, make_runner, predict, *, epo
 
     def validate(p):
         if len(val_samples) >= 2:
-            return mean_correlation(predict(val_samples, p), val_labels)
+            return metrics.evaluate(predict(val_samples, p), val_labels).mean
         return float("nan")
 
     return fit(params, len(frames), step, validate, epochs=epochs, batch_size=batch_size,
@@ -111,7 +106,7 @@ def _fit_videos(params, train_samples, val_samples, make_runner, predict, *, epo
 
 def train_aggregator(train_samples, val_samples, agg_config, *, epochs, batch_size,
                      lr, loss_kind, seed, init_params=None):
-    params = init_params if init_params is not None else agg.init_params(agg_config, seed)
+    params = optim.init_params(agg_config, seed) if init_params is None else init_params
     return _fit_videos(
         params, train_samples, val_samples,
         lambda n: agg.BatchRunner(agg_config, n, loss_kind),
@@ -120,18 +115,17 @@ def train_aggregator(train_samples, val_samples, agg_config, *, epochs, batch_si
     )
 
 
-def train_head(train_samples, val_samples, head_config, *, epochs, batch_size, lr, seed,
-               init_params=None):
-    params = init_params if init_params is not None else head.init_head_params(head_config, seed)
+def train_head(train_samples, val_samples, head_config, *, epochs, batch_size, lr, seed):
+    params = optim.init_params(head_config, seed)
 
     def step(p, state, idx):
-        batch = frame_batch([train_samples[i] for i in idx])
+        batch = head.frame_batch([train_samples[i] for i in idx])
         p, state, loss = head.head_train_step(batch, p, state, lr, head_config)
         return p, state, loss.total
 
     def validate(p):
         if val_samples:
-            return head.head_loss(frame_batch(val_samples), p, head_config).total
+            return head.head_loss(head.frame_batch(val_samples), p, head_config).total
         return float("nan")
 
     return fit(params, len(train_samples), step, validate, epochs=epochs,
@@ -180,8 +174,8 @@ class JointRunner(agg.BatchRunner):
 def train_joint(train_samples, val_samples, head_config, agg_config, *, epochs, batch_size,
                 lr, loss_kind, seed, init_head=None, init_agg=None):
     """End-to-end fine-tune; parameters of both stages in one dict."""
-    params = dict(init_head if init_head is not None else head.init_head_params(head_config, seed))
-    params.update(init_agg if init_agg is not None else agg.init_params(agg_config, seed + 1))
+    params = dict(optim.init_params(head_config, seed) if init_head is None else init_head)
+    params.update(optim.init_params(agg_config, seed + 1) if init_agg is None else init_agg)
 
     def predict(samples, p):
         hp, ap = split_joint_params(p, head_config)

@@ -19,6 +19,7 @@ import numpy as np
 from . import affect_head as head
 from . import aggregator as agg
 from . import autodiff as ad
+from .optim import init_params
 
 THRESHOLD = 1e-4
 EPSILON = 1e-6
@@ -62,12 +63,12 @@ def target_loss_dm(rng):
 
 
 def target_loss_mma(rng):
-    from .data import FrameRecipe, frame_batch, gen_frame_dataset
+    from .data import FrameRecipe, gen_frame_dataset
 
     config = head.HeadConfig(d_in=6, width=6, n_blocks=1)
     samples, _ = gen_frame_dataset(101, 8, FrameRecipe(d_in=6))
-    graph, _, _ = head.head_loss_graph(config, frame_batch(samples))
-    return graph, head.init_head_params(config, seed=3)
+    graph, _, _ = head.head_loss_graph(config, head.frame_batch(samples))
+    return graph, init_params(config, seed=3)
 
 
 def target_loss_pearson(rng):
@@ -92,7 +93,7 @@ def target_trunk(rng):
     for i in range(config.n_blocks):
         h = ad.add(h, ad.tanh(ad.affine(h, p[f"trunk.block{i}.w"], p[f"trunk.block{i}.b"])))
     graph = ad.Graph(_cotangent_sum(h, rng))
-    params = head.init_head_params(config, seed=4)
+    params = init_params(config, seed=4)
     return graph, {k: v for k, v in params.items() if k.startswith("trunk")}
 
 
@@ -100,7 +101,7 @@ def _head_output_target(rng, which, seed):
     config = head.HeadConfig(d_in=8, width=8, n_blocks=2)
     out = head.head_nodes(config, ad.constant(rng.normal(size=(6, 8))))
     node = getattr(out, which)
-    return ad.Graph(_cotangent_sum(node, rng)), head.init_head_params(config, seed=seed)
+    return ad.Graph(_cotangent_sum(node, rng)), init_params(config, seed=seed)
 
 
 def target_head_va(rng):
@@ -123,7 +124,7 @@ def target_gru(rng):
     frames = np.stack([rng.normal(size=(3, 6)) for _ in range(5)], axis=1)
     hs = ad.gru(ad.constant(frames.reshape(3, 30)), weights, 5, 4, name="gru0")
     graph = ad.Graph(_cotangent_sum(hs, rng))
-    params = {k: v for k, v in agg.init_params(config, seed=8).items() if k.startswith("gru")}
+    params = {k: v for k, v in init_params(config, seed=8).items() if k.startswith("gru")}
     return graph, params
 
 
@@ -162,7 +163,7 @@ def _aggregator_target(rng, loss_kind, sigmoid_output):
     config = agg.AggregatorConfig(
         d_in=5, t=6, d_hidden=4, d_ff=3, sigmoid_output=sigmoid_output
     )
-    params = agg.init_params(config, seed=10)
+    params = init_params(config, seed=10)
     frames = rng.normal(size=(3, 6, 5)) * 0.8
     lengths = np.array([2, 5, 6])
     labels = rng.uniform(0, 1, size=(3, 7))

@@ -6,7 +6,8 @@ oracles (an id-keyed evaluate/backward, a grad_check that re-evaluates
 the whole graph per trial, and the per-step GRU backward formula), a
 second, independent implementation of the stored array format and of the
 checkpoint file layout, and the inputs and quiet command-line runner of
-the config and checkpoint fuzz tests."""
+the config and checkpoint fuzz tests, and the two per-model parameter
+initializers that `optim.init_params` replaced."""
 
 import base64
 import contextlib
@@ -66,8 +67,11 @@ def coupling_loss(probs, targets, two_term=False):
 
 def expected_aus(expr):
     """AU activations implied by an expression distribution: the pseudo-AU
-    targets the coupling loss pulls toward."""
-    return ad.Graph(head.pseudo_au_node(const(expr))).evaluate({})
+    targets the coupling loss pulls toward; a single distribution is a
+    batch of one."""
+    expr = np.asarray(expr, dtype=np.float64)
+    out = ad.Graph(head.pseudo_au_node(const(np.atleast_2d(expr)))).evaluate({})
+    return out[0] if expr.ndim == 1 else out
 
 
 def adam_oracle(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -83,6 +87,32 @@ def adam_oracle(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8)
         update = (new_m[name] / bc1) / (np.sqrt(new_v[name] / bc2) + eps)
         new_params[name] = p - lr * update
     return new_params, new_m, new_v
+
+
+def aggregator_init_oracle(config, seed):
+    """The aggregator's own initializer before `optim.init_params` served
+    both models: a bias is a name whose last component starts with "b"."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in config.param_shapes().items():
+        if name.split(".")[-1].startswith("b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(size=shape) / np.sqrt(shape[0])
+    return params
+
+
+def head_init_oracle(config, seed):
+    """The head's own initializer before `optim.init_params` served both
+    models: a bias is a name ending in ".b"."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in config.param_shapes().items():
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(size=shape) / np.sqrt(shape[0])
+    return params
 
 
 def dict_evaluate(graph, bindings):

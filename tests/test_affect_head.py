@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from affectseq import affect_head as head
 from affectseq import autodiff as ad
 from affectseq.affect_space import au_index, expression_index, relatedness_matrix
-from affectseq.data import FrameRecipe, frame_batch, gen_frame_dataset
-from affectseq.optim import adam_init
+from affectseq.affect_head import frame_batch
+from affectseq.data import FrameRecipe, gen_frame_dataset
+from affectseq.optim import adam_init, init_params
 from helpers import ccc_flagged, const, coupling_loss, scalar, va_loss
 
 CFG = head.HeadConfig(d_in=8, width=8, n_blocks=2)
@@ -36,7 +37,7 @@ def test_forward_zero_params_hits_activation_fixed_points():
 
 def test_forward_output_satisfies_invariants():
     rng = np.random.default_rng(0)
-    params = head.init_head_params(CFG, seed=1)
+    params = init_params(CFG, seed=1)
     out = head.head_forward(rng.normal(size=(32, 8)), params, CFG)
     assert_in_range(out)
     assert np.all(np.abs(out.expr.sum(axis=1) - 1.0) < 1e-9)
@@ -45,7 +46,7 @@ def test_forward_output_satisfies_invariants():
 
 def test_graph_forward_matches_numeric():
     rng = np.random.default_rng(7)
-    params = head.init_head_params(CFG, seed=2)
+    params = init_params(CFG, seed=2)
     feats = rng.normal(size=(5, 8))
     numeric = head.head_forward(feats, params, CFG)
     out_nodes = head.head_nodes(CFG, ad.constant(feats))
@@ -208,14 +209,14 @@ def make_batch(n=12, seed=9, mix=(("va", 0.25), ("expr", 0.25), ("au", 0.25), ("
 
 def test_head_loss_total_is_sum_of_terms():
     batch = make_batch()
-    params = head.init_head_params(CFG, seed=3)
+    params = init_params(CFG, seed=3)
     result = head.head_loss(batch, params, CFG)
     assert result.total == pytest.approx(sum(result.terms.values()), abs=1e-12)
 
 
 def test_head_loss_terms_match_standalone_surfaces():
     batch = make_batch(n=16, seed=10)
-    params = head.init_head_params(CFG, seed=4)
+    params = init_params(CFG, seed=4)
     out = head.head_forward(batch.features, params, CFG)
     result = head.head_loss(batch, params, CFG)
 
@@ -235,7 +236,7 @@ def test_head_loss_terms_match_standalone_surfaces():
 
 def test_head_loss_flags_absent_terms():
     batch = make_batch(n=10, seed=11, mix=(("au", 1.0),))
-    params = head.init_head_params(CFG, seed=5)
+    params = init_params(CFG, seed=5)
     result = head.head_loss(batch, params, CFG)
     assert set(result.absent) == {"ccc", "cce"}
     assert result.terms["ccc"] == 0.0
@@ -246,15 +247,24 @@ def test_head_loss_flags_absent_terms():
 def test_head_loss_single_va_label_is_skipped():
     batch = make_batch(n=10, seed=12, mix=(("au", 1.0),))
     batch.va_mask[3] = True  # one labeled sample is not enough for moments
-    params = head.init_head_params(CFG, seed=6)
+    params = init_params(CFG, seed=6)
     result = head.head_loss(batch, params, CFG)
     assert "ccc" in result.absent
+
+
+def test_head_train_step_names_the_node_of_a_non_finite_loss():
+    batch = make_batch(n=12, seed=14)
+    assert batch.va_mask.sum() >= 2
+    batch.va[batch.va_mask] = 1e200  # the concordance loss squares 1e200
+    params = init_params(CFG, seed=8)
+    with pytest.raises(ad.GraphError, match=r"^non-finite value in node 'mul#\d+' at flat index"):
+        head.head_train_step(batch, params, adam_init(params), 1e-3, CFG)
 
 
 def test_all_loss_terms_pass_grad_check():
     batch = make_batch(n=10, seed=13)
     graph, term_nodes, _ = head.head_loss_graph(CFG, batch)
-    params = head.init_head_params(CFG, seed=7)
+    params = init_params(CFG, seed=7)
     report = ad.grad_check(graph, params, epsilon=1e-6, n_coords=120, seed=0)
     assert report.max_rel_error < 1e-4, report.per_param_max()
     # each term alone must also check out
@@ -270,7 +280,7 @@ def test_all_loss_terms_pass_grad_check():
 
 def test_train_step_zero_lr_keeps_params():
     batch = make_batch()
-    params = head.init_head_params(CFG, seed=8)
+    params = init_params(CFG, seed=8)
     state = adam_init(params)
     new_params, _, _ = head.head_train_step(batch, params, state, 0.0, CFG)
     for name in params:
@@ -279,7 +289,7 @@ def test_train_step_zero_lr_keeps_params():
 
 def test_train_step_deterministic():
     batch = make_batch()
-    params = head.init_head_params(CFG, seed=9)
+    params = init_params(CFG, seed=9)
     outs = []
     for _ in range(2):
         state = adam_init(params)
@@ -294,7 +304,7 @@ def test_training_halves_loss_on_fully_labeled_set():
     samples, _ = gen_frame_dataset(21, 64, FrameRecipe(d_in=16, noise=0.05))
     batch = frame_batch(samples)
     config = head.HeadConfig(d_in=16, width=16, n_blocks=2)
-    params = head.init_head_params(config, seed=0)
+    params = init_params(config, seed=0)
     state = adam_init(params)
     first = None
     for _ in range(500):
@@ -311,7 +321,7 @@ def test_golden_forward_seed42():
     blob = json.loads((Path(__file__).parent / "golden" / "forward_goldens.json").read_text())
     g = blob["head_forward_seed42"]
     config = head.HeadConfig(**g["config"])
-    params = head.init_head_params(config, seed=42)
+    params = init_params(config, seed=42)
     feats = np.random.default_rng(42).normal(size=config.d_in)
     out = head.head_forward(feats, params, config)
     np.testing.assert_array_equal(out.va, g["va"])

@@ -9,7 +9,7 @@ from affectseq import aggregator as agg
 from affectseq import autodiff as ad
 from affectseq import metrics
 from affectseq.data import VideoRecipe, gen_video_dataset, video_arrays
-from affectseq.optim import adam_init
+from affectseq.optim import adam_init, init_params
 from helpers import const, pearson_loss, scalar
 
 SMALL = agg.AggregatorConfig(d_in=3, t=4, d_hidden=2, d_ff=3, n_out=7)
@@ -20,7 +20,7 @@ def zero_params(config):
 
 
 def random_params(config, seed):
-    return agg.init_params(config, seed)
+    return init_params(config, seed)
 
 
 # scalar reference: the four update equations applied one unit at a time
@@ -159,10 +159,12 @@ def test_loss_runner_forward_equals_forward_runner():
     params = random_params(config, seed=32)
     frames = np.random.default_rng(33).normal(size=(4, 6, 5))
     lengths = np.array([3, 6, 1, 5])
+    labels = np.random.default_rng(37).uniform(0, 1, size=(4, 7))
     plain = agg.BatchRunner(config, 4).forward(params, frames, lengths)
     for loss_kind in ("mse", "pearson"):
-        u = agg.BatchRunner(config, 4, loss_kind).forward(params, frames, lengths)
-        np.testing.assert_array_equal(u, plain)
+        runner = agg.BatchRunner(config, 4, loss_kind)
+        _, _, value = runner.step(params, adam_init(params), frames, lengths, labels, 1e-3)
+        assert value == scalar(agg.loss_node(const(plain), const(labels), loss_kind))
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +329,25 @@ def test_batch_runner_constant_label_column_counts_as_zero():
     labels = rng.uniform(0, 1, size=(5, 7))
     labels[:, 2] = 0.5
     params = random_params(config, seed=35)
-    runner = agg.BatchRunner(config, 5, "pearson")
-    preds = runner.forward(params, frames, lengths)
+    preds = agg.BatchRunner(config, 5).forward(params, frames, lengths)
     rhos = [metrics.pearson_flagged(preds[:, i], labels[:, i])[0] for i in range(7)]
     assert rhos[2] == 0.0
+    runner = agg.BatchRunner(config, 5, "pearson")
     new_params, _, value = runner.step(params, adam_init(params), frames, lengths, labels, 1e-3)
     assert value == pytest.approx(1.0 - np.mean(rhos), abs=1e-12)
     for name, grad in runner.graph.backward().items():
         assert np.all(np.isfinite(grad)), name
         assert np.all(np.isfinite(new_params[name])), name
+
+
+def test_batch_runner_step_names_the_node_of_a_non_finite_loss():
+    config = agg.AggregatorConfig(d_in=5, t=6, d_hidden=4, d_ff=3)
+    params = random_params(config, seed=38)
+    frames = np.random.default_rng(39).normal(size=(3, 6, 5))
+    labels = np.full((3, 7), 1e200)  # the squared error overflows
+    runner = agg.BatchRunner(config, 3, "mse")
+    with pytest.raises(ad.GraphError, match=r"^non-finite value in node 'mul#\d+' at flat index"):
+        runner.step(params, adam_init(params), frames, [2, 6, 4], labels, 1e-3)
 
 
 def test_batch_runner_constant_prediction_columns_count_as_zero():
@@ -535,7 +547,7 @@ def load_goldens():
 def test_golden_forward_seed42():
     g = load_goldens()["aggregator_forward_seed42"]
     config = agg.AggregatorConfig(**g["config"])
-    params = agg.init_params(config, seed=42)
+    params = init_params(config, seed=42)
     frames = np.random.default_rng(42).normal(size=(config.t, config.d_in))
     u = agg.video_forward(frames, g["length"], params, config)
     np.testing.assert_array_equal(u, g["u"])
@@ -544,7 +556,7 @@ def test_golden_forward_seed42():
 def test_golden_predict_seed42():
     g = load_goldens()["predict_seed42"]
     config = agg.AggregatorConfig(d_in=26, t=8, d_hidden=16, d_ff=8)
-    params = agg.init_params(config, seed=42)
+    params = init_params(config, seed=42)
     samples, _ = gen_video_dataset(42, 6, VideoRecipe(l_min=2, l_max=8), t=8)
     assert [s.length for s in samples] == g["lengths"]
     preds = agg.predict(samples, params, config)

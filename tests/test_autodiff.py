@@ -9,7 +9,9 @@ from affectseq import affect_head as head
 from affectseq import aggregator as agg
 from affectseq import autodiff as ad
 from affectseq import verification
-from affectseq.data import FrameRecipe, frame_batch, gen_frame_dataset
+from affectseq.affect_head import frame_batch
+from affectseq.data import FrameRecipe, gen_frame_dataset
+from affectseq.optim import init_params
 from helpers import dict_backward, dict_evaluate, full_grad_check, gru_backward_oracle
 
 
@@ -32,9 +34,9 @@ def test_softmax_symmetry():
 
 def test_matmul_identity():
     a = ad.constant(np.eye(3))
-    v = ad.param("v", (3,))
+    v = ad.param("v", (3, 1))
     g = ad.Graph(ad.matmul(a, v))
-    np.testing.assert_array_equal(g.evaluate({"v": [1.0, 2.0, 3.0]}), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(g.evaluate({"v": [[1.0], [2.0], [3.0]]}), [[1.0], [2.0], [3.0]])
 
 
 def test_square_gradient():
@@ -252,7 +254,6 @@ def test_report_serialization():
     blob = report.to_dict()
     assert blob["n_coords"] == 3
     assert set(blob["per_param_max"]) == {"x"}
-    assert report.to_json().startswith("{")
 
 
 def test_parallel_graphs_are_independent():
@@ -387,9 +388,9 @@ def _desk_runner_case(kind):
     lengths = np.array([8, 32, 17, 9, 30])
     labels = rng.uniform(size=(5, config.n_out))
     runner = agg.BatchRunner(config, 5, "pearson", head_config=head_config)
-    params = agg.init_params(config, seed=4)
+    params = init_params(config, seed=4)
     if head_config is not None:
-        params.update(head.init_head_params(head_config, seed=5))
+        params.update(init_params(head_config, seed=5))
     return runner.graph, agg.batch_bindings(config, params, frames, lengths, labels, d)
 
 
@@ -398,7 +399,7 @@ def _head_loss_case():
     mix = (("va", 0.3), ("expr", 0.2), ("au", 0.3), ("all", 0.2))
     samples, _ = gen_frame_dataset(31, 12, FrameRecipe(d_in=8, label_mix=mix))
     graph, _, _ = head.head_loss_graph(config, frame_batch(samples))
-    return graph, head.init_head_params(config, seed=6)
+    return graph, init_params(config, seed=6)
 
 
 PLAN_CASES = [*verification.TARGETS, "desk_masked", "desk_unmasked", "desk_joint", "head_loss"]
@@ -436,10 +437,10 @@ def test_downstream_grad_check_matches_full_reevaluation(name):
 
 def test_downstream_grad_check_of_unread_and_skipped_params():
     rng = np.random.default_rng(8)
-    x, w = ad.param("x", (3,)), ad.param("w", (3, 2))
+    x, w = ad.param("x", (1, 3)), ad.param("w", (3, 2))
     unread = ad.param("unread", (2, 2))
     root = ad.reduce_sum(ad.tanh(ad.matmul(x, w)))
-    bindings = {"x": rng.normal(size=3), "w": rng.normal(size=(3, 2)),
+    bindings = {"x": rng.normal(size=(1, 3)), "w": rng.normal(size=(3, 2)),
                 "unread": rng.normal(size=(2, 2))}
     graph = ad.Graph(root, extra_params=[unread])
     report = ad.grad_check(graph, bindings, n_coords=13)
@@ -464,14 +465,14 @@ def test_downstream_trial_names_the_non_finite_node():
 
 def test_numeric_error_names_the_layer():
     config = agg.AggregatorConfig(d_in=3, t=4, d_hidden=2, d_ff=3)
-    params = agg.init_params(config, seed=1)
+    params = init_params(config, seed=1)
     params["ff1.w"] = params["ff1.w"].copy()
     params["ff1.w"][2, 1] = np.nan
     frames = np.random.default_rng(2).normal(size=(2, 4, 3))
     with pytest.raises(ad.GraphError, match=r"node 'ff1\."):
         agg.BatchRunner(config, 2).forward(params, frames, [4, 2])
     hc = head.HeadConfig(d_in=8, width=8, n_blocks=2)
-    hp = head.init_head_params(hc, seed=1)
+    hp = init_params(hc, seed=1)
     hp["trunk.block1.b"] = np.full(8, np.inf)
     out = head.head_nodes(hc, ad.constant(np.ones((2, 8))))
     with pytest.raises(ad.GraphError, match=r"node 'trunk\.block1\."):

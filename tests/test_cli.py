@@ -12,7 +12,7 @@ import pytest
 
 from affectseq import autodiff as ad
 from affectseq import cli
-from affectseq.checkpoint import load_checkpoint
+from affectseq.checkpoint import load_checkpoint, save_checkpoint
 from affectseq.config import RunConfig
 from helpers import b64, read_checkpoint, unb64, write_checkpoint
 
@@ -661,6 +661,9 @@ def mismatch_runs(tmp_path_factory):
                    "--d-in", "4")),
         ("agg8", ("--dataset", str(paths["aff8"]), "--t", "8")),
         ("agg16", ("--dataset", str(root / "aff16" / "videos.jsonl"), "--t", "16")),
+        ("agg8x2", ("--dataset", str(paths["aff8"]), "--t", "8", "--gru-layers", "2")),
+        ("head8x3", ("--stage", "mma", "--dataset", str(paths["frames8"]), "--d-in", "8",
+                     "--head-blocks", "3")),
         ("joint8", ("--stage", "end-to-end", "--dataset", str(paths["desc8"]), "--t", "8",
                     "--d-in", "8")),
     ):
@@ -698,6 +701,12 @@ MISMATCH_CASES = {
     "train-joint-init-is-joint": (
         "train --stage end-to-end --dataset {desc8} --t 8 --d-in 8 --checkpoint {joint8}",
         ("--checkpoint", "kind is 'joint', expected 'aggregator'")),
+    "train-frozen-init-has-extra-layer": (
+        "train --dataset {aff8} --t 8 --checkpoint {agg8x2}",
+        ("--checkpoint: checkpoint has extra parameter 'gru1.bh'",)),
+    "train-joint-head-init-has-extra-block": (
+        "train --stage end-to-end --dataset {desc8} --t 8 --d-in 8 --head-checkpoint {head8x3}",
+        ("--head-checkpoint: checkpoint has extra parameter 'trunk.block2.b'",)),
     "train-head-config-width": (
         "train --stage mma --dataset {frames8} --d-in 4",
         ("config expects frame width 4", "dataset has frame width 8")),
@@ -718,3 +727,31 @@ def test_dataset_checkpoint_mismatch_exits_2(mismatch_runs, tmp_path, capsys, ca
     assert err.count("\n") == 1, err
     for text in expected:
         assert text in err, err
+
+
+def test_eval_checkpoint_with_extra_parameter_exits_2(mismatch_runs, tmp_path, capsys):
+    ck = load_checkpoint(mismatch_runs["agg8"])
+    doctored = tmp_path / "checkpoint.json"
+    save_checkpoint(doctored, {**ck.params, "ff2.w": np.zeros((3, 3))}, ck.config, ck.kind)
+    capsys.readouterr()
+    code = run("eval", *SMALL, "--dataset", str(mismatch_runs["aff8"]),
+               "--checkpoint", str(doctored), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == "error: eval: checkpoint has extra parameter 'ff2.w'\n"
+
+
+def test_manifest_unknown_kind_exits_3(tmp_path, capsys):
+    data_path = gen_videos(tmp_path, seed=29, n=8)
+    manifest = Path(f"{data_path}.manifest.json")
+    blob = json.loads(manifest.read_text())
+    blob["kind"] = "bogus"
+    manifest.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"manifest {manifest}: field 'kind' is 'bogus'" in err and err.count("\n") == 1

@@ -462,6 +462,7 @@ def _set(key, value):
     *[(_drop(key), f"lacks field '{key}'") for key in ("kind", "seed", "n", "d", "recipe")],
     (_set("recipe", [1, 2]), "field 'recipe' is not a JSON object"),
     (_set("kind", 3), "field 'kind' is not a string"),
+    (_set("kind", "bogus"), "field 'kind' is 'bogus', expected 'frames' or 'videos'"),
     (_set("seed", "1"), "field 'seed' is not an integer"),
     (_set("n", True), "field 'n' is not an integer"),
     (_set("d", 26.0), "field 'd' is not an integer"),
@@ -469,7 +470,7 @@ def _set(key, value):
     (_set("t", None), "field 't' is not an integer"),
     (_set("d", -26), "field 'd' is negative"),
 ], ids=["non-json", "list", "no-kind", "no-seed", "no-n", "no-d", "no-recipe", "list-recipe",
-        "int-kind", "str-seed", "bool-n", "float-d", "str-t", "null-t", "negative-d"])
+        "int-kind", "bogus-kind", "str-seed", "bool-n", "float-d", "str-t", "null-t", "negative-d"])
 def test_malformed_manifest_names_path_and_field(tmp_path, edit, expected):
     path = tmp_path / "videos.jsonl"
     data.save_dataset(path, *_small_dataset("affect", 29))

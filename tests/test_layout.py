@@ -3,7 +3,9 @@
 Every top-level function, class and method under src/affectseq must be
 referenced, as a name or an attribute, somewhere in src/ or perfbench/
 outside its own definition. Code reached only from tests belongs in
-tests/. Dunder methods are exempt: the language calls them.
+tests/. Dunder methods are exempt: the language calls them. Likewise
+every attribute a method stores on `self` must be read, as an
+attribute, somewhere in src/ or perfbench/.
 
 The graph engine's rule tables are subscripted at one place each.
 """
@@ -49,6 +51,33 @@ def test_every_src_definition_is_used_outside_tests():
             if everywhere[name] == _referenced_names(node)[name]:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "defined in src/ but used only by tests: " + ", ".join(unused)
+
+
+def _stored_self_attributes(tree):
+    """(line, name) of every `self.<name>` an assignment stores to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in ast.walk(target):
+                if (isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                        and isinstance(t.value, ast.Name) and t.value.id == "self"):
+                    yield t.lineno, t.attr
+
+
+def test_every_stored_self_attribute_is_read():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.relative_to(ROOT)}:{line} self.{name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for line, name in _stored_self_attributes(trees[path]) if name not in read]
+    assert not unread, "stored on self in src/ but never read: " + ", ".join(unread)
 
 
 def test_rule_tables_have_one_dispatch_point():

@@ -1,4 +1,5 @@
-"""The blocked Adam step against the whole-array formula.
+"""The blocked Adam step against the whole-array formula, and the one
+parameter initializer against the two per-model ones it replaced.
 
 `adam_step` walks each parameter in blocks of `BLOCK` entries; every
 entry must come out bit-identical to `helpers.adam_oracle`, whatever the
@@ -11,8 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affectseq.optim import BLOCK, adam_init, adam_step
-from helpers import adam_oracle
+from affectseq import config as runconfig
+from affectseq.affect_head import HeadConfig
+from affectseq.aggregator import AggregatorConfig
+from affectseq.optim import BLOCK, adam_init, adam_step, init_params
+from helpers import adam_oracle, aggregator_init_oracle, head_init_oracle
 
 SHAPES = {
     "below": (BLOCK - 1,),
@@ -92,3 +96,29 @@ def test_step_makes_no_full_size_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * params["w"].nbytes, peak / params["w"].nbytes
+
+
+INIT_SEEDS = (0, 1, 42, 123)
+
+
+@pytest.mark.parametrize("config", [
+    runconfig.build_config(overrides={"preset": "desk"}).aggregator_config(),
+    runconfig.build_config(overrides={"preset": "paper"}).aggregator_config(),
+    AggregatorConfig(gru_layers=2),
+], ids=["desk", "paper", "two-layer"])
+def test_init_params_matches_the_aggregator_initializer(config):
+    for seed in INIT_SEEDS:
+        got, want = init_params(config, seed), aggregator_init_oracle(config, seed)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (seed, key)
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 2])
+def test_init_params_matches_the_head_initializer(n_blocks):
+    config = HeadConfig(n_blocks=n_blocks)
+    for seed in INIT_SEEDS:
+        got, want = init_params(config, seed), head_init_oracle(config, seed)
+        assert list(got) == list(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (seed, key)

@@ -3,7 +3,7 @@ import pytest
 
 from affectseq import aggregator as agg
 from affectseq import affect_head as head
-from affectseq import training
+from affectseq import metrics, training
 from affectseq.data import (
     FrameRecipe,
     VideoRecipe,
@@ -12,7 +12,7 @@ from affectseq.data import (
     split,
     video_arrays,
 )
-from affectseq.optim import adam_init
+from affectseq.optim import adam_init, init_params
 
 AGG = agg.AggregatorConfig(d_in=26, t=12, d_hidden=8, d_ff=4)
 
@@ -35,7 +35,7 @@ def test_train_aggregator_tracks_best_epoch():
         assert outcome.best_metric == metrics_seen[outcome.best_epoch - 1]
     preds = agg.predict(parts["val"], outcome.params, AGG)
     labels = np.asarray([s.label for s in parts["val"]])
-    assert training.mean_correlation(preds, labels) == pytest.approx(outcome.best_metric, abs=1e-12)
+    assert metrics.evaluate(preds, labels).mean == pytest.approx(outcome.best_metric, abs=1e-12)
 
 
 def test_train_aggregator_zero_epochs_returns_init():
@@ -44,7 +44,7 @@ def test_train_aggregator_zero_epochs_returns_init():
         parts["train"], parts["val"], AGG,
         epochs=0, batch_size=8, lr=1e-2, loss_kind="pearson", seed=3,
     )
-    init = agg.init_params(AGG, 3)
+    init = init_params(AGG, 3)
     for name in init:
         np.testing.assert_array_equal(outcome.params[name], init[name])
     assert outcome.history == []
@@ -80,7 +80,7 @@ def test_transform_videos_emits_affect_frames():
     recipe = VideoRecipe(l_min=2, l_max=6, feature_kind="descriptor", d_in=10)
     samples, _ = gen_video_dataset(8, 5, recipe, t=6)
     config = head.HeadConfig(d_in=10, width=8, n_blocks=1)
-    params = head.init_head_params(config, seed=9)
+    params = init_params(config, seed=9)
     affect = training.transform_videos(samples, params, config)
     assert affect[0].frames.shape == (6, 26)
     assert affect[0].length == samples[0].length
@@ -95,8 +95,8 @@ def test_joint_forward_composes_stages():
     samples, _ = gen_video_dataset(10, 3, recipe, t=6)
     head_config = head.HeadConfig(d_in=10, width=8, n_blocks=1)
     agg_config = agg.AggregatorConfig(d_in=26, t=6, d_hidden=4, d_ff=3)
-    hp = head.init_head_params(head_config, seed=11)
-    ap = agg.init_params(agg_config, seed=12)
+    hp = init_params(head_config, seed=11)
+    ap = init_params(agg_config, seed=12)
     s = samples[0]
     direct = training.joint_forward(s.frames, s.length, hp, head_config, ap, agg_config)
     via_transform = agg.video_forward(
@@ -166,7 +166,7 @@ def test_fit_keeps_best_epoch_params_without_copying():
     samples, _ = gen_video_dataset(6, 16, VideoRecipe(l_min=3, l_max=12), 12)
     frames, lengths, labels = video_arrays(samples)
     runner = agg.BatchRunner(AGG, 4, "pearson")
-    init = agg.init_params(AGG, 7)
+    init = init_params(AGG, 7)
     original = {k: v.copy() for k, v in init.items()}
     snapshots, values = [], iter([0.0, 0.9, 0.5, 0.1])
 
@@ -191,8 +191,8 @@ def _joint_setup(seed, n=4):
     samples, _ = gen_video_dataset(seed, n, recipe, t=6)
     head_config = head.HeadConfig(d_in=10, width=8, n_blocks=1)
     agg_config = agg.AggregatorConfig(d_in=26, t=6, d_hidden=4, d_ff=3)
-    params = head.init_head_params(head_config, seed=seed + 1)
-    params.update(agg.init_params(agg_config, seed=seed + 2))
+    params = init_params(head_config, seed=seed + 1)
+    params.update(init_params(agg_config, seed=seed + 2))
     return samples, head_config, agg_config, params
 
 
