@@ -265,6 +265,9 @@ def cmd_eval(config):
     samples, manifest = _load_videos(config)
     _check_dims(manifest, run.t, run.d_in if ck.kind == "joint" else None, "the checkpoint")
     part = _nonempty(_split_from_config(samples, config)[config.split], config.split, config)
+    if len(part) < 2:  # a correlation needs two points
+        raise ConfigError(f"the {config.split} split holds 1 video under --fractions "
+                          f"{config.fractions}; eval needs at least 2")
     if ck.kind == "aggregator":
         part = _affect_parts({"eval": part}, manifest, config.head_checkpoint,
                              run.representation)["eval"]
@@ -293,6 +296,8 @@ def cmd_eval(config):
 
 
 def cmd_gradcheck(config, epsilon):
+    if not 0 < epsilon < np.inf:  # also false for NaN
+        raise ConfigError(f"--epsilon must be finite and positive, got {epsilon}")
     out = _out_dir(config)
     reports, failures, elapsed = verification.run_all(epsilon=epsilon)
     blob = {

@@ -13,12 +13,16 @@ either exact zeros or pure noise, so masking ablations measure a real
 signal. Every generator is reproducible byte-for-byte from its seed:
 each sample draws from its own spawned child stream.
 
-A dataset is stored as JSON lines, one record per sample, with a JSON
-manifest beside it. Schema "2" stores every array of a record (video
-frames and labels, frame features and the va/au labels) in the binary
-format of ``codec``; the loader takes each array's shape from the
-manifest and checks every record invariant, naming the line and field
-of the first failure.
+A dataset (schema "3") is a file in the stored-array layout of
+``codec``, with a JSON manifest beside it. The header line holds
+``schema_version`` and ``records``, one entry per sample with its scalar
+fields: ``[id, length]`` for a video, ``[id, expr, has_va, has_au]`` for
+a frame (``expr`` is null when unlabeled). After it come each record's
+arrays in record order: a video's ``frames`` (t, d) then ``label`` (7,);
+a frame's ``features`` (d,), then ``va`` (2,) and ``au`` (17,) when
+present. The loader takes each array's shape from the manifest, reads
+it straight into its own buffer, and checks every record invariant,
+naming the record number and field of the first failure.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .affect_space import (
 )
 from .autodiff import np_softmax
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 # Rough circumplex coordinates driving the expression mixture.
 VA_PROTOTYPES = {
@@ -63,6 +67,16 @@ _PROTO = np.array([VA_PROTOTYPES[e] for e in EXPRESSIONS])
 
 class DatasetError(Exception):
     """Malformed record, invariant violation, or bad generation request."""
+
+
+def _check_schema(version, where):
+    """Raise DatasetError unless `version`, read from the file `where`
+    names, is the schema this version reads."""
+    if version != SCHEMA_VERSION:
+        raise DatasetError(
+            f"unsupported dataset schema {version!r} in {where} (this version reads "
+            f"{SCHEMA_VERSION!r}); re-run gen to rebuild the dataset"
+        )
 
 
 @dataclass
@@ -138,12 +152,7 @@ class DatasetManifest:
         malformed field."""
         if not isinstance(blob, dict):
             raise DatasetError(f"{where} is not a JSON object")
-        version = blob.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise DatasetError(
-                f"unsupported dataset schema {version!r} in {where} (this version reads "
-                f"{SCHEMA_VERSION!r}); re-run gen to rebuild the dataset"
-            )
+        _check_schema(blob.get("schema_version"), where)
         for key in ("kind", "seed", "n", "d", "recipe"):
             if key not in blob:
                 raise DatasetError(f"{where} lacks field {key!r}")
@@ -385,8 +394,9 @@ def gen_video_dataset(seed, n, recipe, t):
 
 
 # ---------------------------------------------------------------------------
-# storage: one JSON record per line, manifest beside the data file; every
-# array is a codec string whose shape the manifest gives
+# storage: a stored-array file (see ``codec``) whose header lists each
+# record's scalar fields, manifest beside it; the manifest gives every
+# array's shape
 
 
 def manifest_path(data_path):
@@ -395,77 +405,51 @@ def manifest_path(data_path):
 
 def save_dataset(path, samples, manifest):
     path = Path(path)
-    lines = []
     if manifest.kind == "frames":
-        for s in samples:
-            lines.append(json.dumps({
-                "id": s.id,
-                "features": codec.encode(s.features),
-                "labels": {
-                    "va": None if s.va is None else codec.encode(s.va),
-                    "expr": None if s.expr is None else int(s.expr),
-                    "au": None if s.au is None else codec.encode(s.au),
-                },
-            }, sort_keys=True))
+        records = [[s.id, None if s.expr is None else int(s.expr), s.va is not None,
+                    s.au is not None] for s in samples]
+        arrays = (arr for s in samples for arr in (s.features, s.va, s.au) if arr is not None)
     elif manifest.kind == "videos":
-        for s in samples:
-            lines.append(json.dumps({
-                "id": s.id,
-                "frames": codec.encode(s.frames),
-                "length": int(s.length),
-                "label": codec.encode(s.label),
-            }, sort_keys=True))
+        records = [[s.id, int(s.length)] for s in samples]
+        arrays = (arr for s in samples for arr in (s.frames, s.label))
     else:
         raise DatasetError(f"unknown dataset kind {manifest.kind!r}")
-    atomic.write_text(path, "\n".join(lines) + "\n")
+    codec.write(path, {"schema_version": SCHEMA_VERSION, "records": records}, arrays)
     manifest_text = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
     atomic.write_text(manifest_path(path), manifest_text)
 
 
-def _check(cond, lineno, message):
+def _check(cond, number, message):
     if not cond:
-        raise DatasetError(f"line {lineno}: {message}")
+        raise DatasetError(f"record {number}: {message}")
 
 
-def _field(rec, key, lineno):
-    _check(isinstance(rec, dict), lineno, "record is not a JSON object")
-    _check(key in rec, lineno, f"record lacks field {key!r}")
-    return rec[key]
-
-
-def _array(rec, key, shape, lineno):
-    """A record's codec field as a finite float64 array of `shape`."""
-    return codec.decode(
-        _field(rec, key, lineno), shape, DatasetError, f"line {lineno}: field {key!r}"
-    )
-
-
-def _validate_affect_rows(rows, lineno):
+def _validate_affect_rows(rows, number):
     va = rows[:, VA_SLICE]
     expr = rows[:, EXPR_SLICE]
     au = rows[:, AU_SLICE]
-    _check(np.all(np.abs(va) <= 1.0 + 1e-12), lineno, "va block outside [-1, 1]")
-    _check(np.all(expr >= -1e-12), lineno, "expr block has negative mass")
+    _check(np.all(np.abs(va) <= 1.0 + 1e-12), number, "va block outside [-1, 1]")
+    _check(np.all(expr >= -1e-12), number, "expr block has negative mass")
     sums = expr.sum(axis=1)
     _check(
         np.all(np.abs(sums - 1.0) <= 1e-6),
-        lineno,
+        number,
         f"expr block does not sum to 1 (got {sums[np.argmax(np.abs(sums - 1.0))]:.6g})",
     )
-    _check(np.all((au >= -1e-12) & (au <= 1.0 + 1e-12)), lineno, "au block outside [0, 1]")
+    _check(np.all((au >= -1e-12) & (au <= 1.0 + 1e-12)), number, "au block outside [0, 1]")
 
 
 def load_dataset(path):
     """Read a dataset and its manifest, validating every record invariant.
 
-    Raises DatasetError naming the line number and offending field.
+    Raises DatasetError naming the record number and offending field.
     """
     path = Path(path)
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DatasetError(f"missing manifest {mpath}")
     # files are read as bytes, so text that is not UTF-8 fails as a
-    # DatasetError naming the manifest or the line
+    # DatasetError naming the file
     try:
         blob = json.loads(mpath.read_bytes())
     except json.JSONDecodeError as e:
@@ -473,63 +457,61 @@ def load_dataset(path):
     except UnicodeDecodeError:
         raise DatasetError(f"manifest {mpath} is not UTF-8 text") from None
     manifest = DatasetManifest.from_dict(blob, where=f"manifest {mpath}")
-    samples = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"line {lineno}: malformed record ({e.msg})") from None
-            except UnicodeDecodeError:
-                raise DatasetError(f"line {lineno}: record is not UTF-8 text") from None
-            if manifest.kind == "frames":
-                samples.append(_parse_frame(rec, manifest, lineno))
-            else:
-                samples.append(_parse_video(rec, manifest, lineno))
-    if len(samples) != manifest.n:
-        raise DatasetError(f"manifest n is {manifest.n} but {path} holds {len(samples)} records")
+    parse = _parse_frame if manifest.kind == "frames" else _parse_video
+    where = f"dataset {path}"
+    with codec.Reader(path, DatasetError, where) as reader:
+        _check_schema(reader.header.get("schema_version"), where)
+        if "records" not in reader.header:
+            raise DatasetError(f"{where} lacks field 'records'")
+        records = reader.header["records"]
+        if not isinstance(records, list):
+            raise DatasetError(f"{where}: field 'records' is not a JSON list")
+        if len(records) != manifest.n:
+            raise DatasetError(
+                f"manifest n is {manifest.n} but {path} holds {len(records)} records")
+        samples = [parse(reader, entry, manifest, number)
+                   for number, entry in enumerate(records, start=1)]
+        reader.finish("record")
     return samples, manifest
 
 
-def _parse_frame(rec, manifest, lineno):
-    features = _array(rec, "features", (manifest.d,), lineno)
-    labels = _field(rec, "labels", lineno)
-    _check(isinstance(labels, dict), lineno, "field 'labels' is not a JSON object")
-    va = labels.get("va")
-    expr = labels.get("expr")
-    au = labels.get("au")
-    _check(
-        va is not None or expr is not None or au is not None,
-        lineno,
-        "sample carries no labels",
-    )
-    if va is not None:
-        va = _array(labels, "va", (2,), lineno)
-        _check(np.all(np.abs(va) <= 1.0), lineno, "bad va label")
+def _parse_frame(reader, entry, manifest, number):
+    _check(isinstance(entry, list) and len(entry) == 4, number,
+           "header entry is not an [id, expr, has_va, has_au] list")
+    sample_id, expr, has_va, has_au = entry
+    _check(isinstance(sample_id, str), number, "field 'id' is not a string")
+    _check(type(has_va) is bool, number, "field 'has_va' is not a boolean")
+    _check(type(has_au) is bool, number, "field 'has_au' is not a boolean")
+    _check(has_va or expr is not None or has_au, number, "sample carries no labels")
+    features = reader.read((manifest.d,), f"record {number}: field 'features'")
+    va = au = None
+    if has_va:
+        va = reader.read((2,), f"record {number}: field 'va'")
+        _check(np.all(np.abs(va) <= 1.0), number, "bad va label")
     if expr is not None:
-        _check(type(expr) is int and 0 <= expr < len(EXPRESSIONS), lineno, "bad expr label")
-    if au is not None:
-        au = _array(labels, "au", (len(AU_IDS),), lineno)
-        _check(set(np.unique(au)) <= {0.0, 1.0}, lineno, "bad au label (need a binary 17-vector)")
-    return FrameSample(id=_field(rec, "id", lineno), features=features, va=va, expr=expr, au=au)
+        _check(type(expr) is int and 0 <= expr < len(EXPRESSIONS), number, "bad expr label")
+    if has_au:
+        au = reader.read((len(AU_IDS),), f"record {number}: field 'au'")
+        _check(set(np.unique(au)) <= {0.0, 1.0}, number, "bad au label (need a binary 17-vector)")
+    return FrameSample(id=sample_id, features=features, va=va, expr=expr, au=au)
 
 
-def _parse_video(rec, manifest, lineno):
-    frames = _array(rec, "frames", (manifest.t, manifest.d), lineno)
-    length = _field(rec, "length", lineno)
-    _check(type(length) is int, lineno, "field 'length' is not an integer")
-    label = _array(rec, "label", (len(INTENSITY_CLASSES),), lineno)
-    _check(1 <= length <= manifest.t, lineno, f"length {length} outside [1, {manifest.t}]")
-    _check(np.all((label >= 0) & (label <= 1)), lineno, "bad intensity label")
+def _parse_video(reader, entry, manifest, number):
+    _check(isinstance(entry, list) and len(entry) == 2, number,
+           "header entry is not an [id, length] list")
+    sample_id, length = entry
+    _check(isinstance(sample_id, str), number, "field 'id' is not a string")
+    _check(type(length) is int, number, "field 'length' is not an integer")
+    frames = reader.read((manifest.t, manifest.d), f"record {number}: field 'frames'")
+    label = reader.read((len(INTENSITY_CLASSES),), f"record {number}: field 'label'")
+    _check(1 <= length <= manifest.t, number, f"length {length} outside [1, {manifest.t}]")
+    _check(np.all((label >= 0) & (label <= 1)), number, "bad intensity label")
     recipe = manifest.recipe
     if recipe.get("padding", "zeros") == "zeros" and length < manifest.t:
-        _check(np.all(frames[length:] == 0.0), lineno, "padded rows are not zero")
+        _check(np.all(frames[length:] == 0.0), number, "padded rows are not zero")
     if recipe.get("feature_kind", "affect") == "affect":
-        _validate_affect_rows(frames[:length], lineno)
-    return VideoSample(id=_field(rec, "id", lineno), frames=frames, length=length, label=label)
+        _validate_affect_rows(frames[:length], number)
+    return VideoSample(id=sample_id, frames=frames, length=length, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@ oracle the valence-arousal loss is checked against, the whole-array Adam
 formula the blocked optimizer is checked against, the graph engine's
 oracles (an id-keyed evaluate/backward, a grad_check that re-evaluates
 the whole graph per trial, and the per-step GRU backward formula), a
-second, independent implementation of the stored array format and of the
-checkpoint file layout, and the inputs and quiet command-line runner of
+second, independent implementation of the stored-array layout of
+checkpoints and datasets, and the inputs and quiet command-line runner of
 the config and checkpoint fuzz tests, and the two per-model parameter
 initializers that `optim.init_params` replaced."""
 
-import base64
 import contextlib
 import io
 import json
@@ -233,16 +232,6 @@ def gru_backward_oracle(g, weights, saved):
             db[gr], dw[:, gc], duh, db[gc])
 
 
-def b64(values):
-    """Values as stored in checkpoints and datasets: base64 of `<f8` bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def unb64(text):
-    """The flat float64 values of a stored array string."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
-
-
 def read_checkpoint(path):
     """(header, {name: array}) of a checkpoint file: its JSON header line,
     then each parameter's `<f8` C-order bytes in the header's order."""
@@ -265,6 +254,39 @@ def write_checkpoint(path, header, arrays):
     for value in arrays.values():
         parts.append(value if isinstance(value, bytes) else np.asarray(value, "<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
+
+
+def read_dataset(path):
+    """(header, [{field: array} per record]) of a dataset file: its JSON
+    header line, then each record's `<f8` C-order arrays in record order,
+    their shapes taken from the manifest beside it."""
+    manifest = json.loads(Path(f"{path}.manifest.json").read_text())
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    header = json.loads(line)
+    records, offset = [], 0
+    for entry in header["records"]:
+        if manifest["kind"] == "videos":
+            fields = [("frames", (manifest["t"], manifest["d"])), ("label", (7,))]
+        else:
+            _, _, has_va, has_au = entry
+            fields = [("features", (manifest["d"],))] + [("va", (2,))] * has_va + [
+                ("au", (17,))] * has_au
+        arrays = {}
+        for field, shape in fields:
+            end = offset + 8 * math.prod(shape)
+            arrays[field] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
+            offset = end
+        records.append(arrays)
+    assert offset == len(payload), "bytes follow the last record"
+    return header, records
+
+
+def write_dataset(path, header, records):
+    """Write `header` as the JSON header line, then each value of each dict
+    of `records` in order, whatever `header` says: an array as its `<f8`
+    C-order bytes, a bytes value as it is. The manifest is left as it is."""
+    write_checkpoint(path, header, {(i, key): value for i, arrays in enumerate(records)
+                                    for key, value in arrays.items()})
 
 
 # Values a fuzzed config or checkpoint field takes: the wrong type for

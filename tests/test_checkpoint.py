@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectseq import data
 from affectseq.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from helpers import (BAD_VALUES, always_rejected, b64, read_checkpoint, run_quietly,
+from helpers import (BAD_VALUES, always_rejected, read_checkpoint, run_quietly,
                      small_run_inputs, write_checkpoint)
 
 
@@ -164,23 +166,34 @@ def test_malformed_document_names_field(tmp_path, drop):
 
 
 def test_load_peaks_below_two_and_a_half_payloads(tmp_path):
-    # the file's bytes plus the owned arrays, and little else: the
-    # base64 document loader peaked at about 3.6 payloads
+    # each array is read straight into its own buffer, so a load holds the
+    # owned arrays and little else: holding the file's bytes as well
+    # peaked at about 2.1 payloads
     rng = np.random.default_rng(4)
     params = {"ff1.w": rng.normal(size=(512, 1024)), "ff1.b": rng.normal(size=(1024,)),
               "out.w": rng.normal(size=(1024, 7))}
-    payload = sum(arr.nbytes for arr in params.values())
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, params, {"seed": 0}, "aggregator")
-    tracemalloc.start()
-    try:
-        ck = load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * payload, peak / payload
-    for name, arr in params.items():
-        np.testing.assert_array_equal(ck.params[name], arr)
+    save_checkpoint(tmp_path / "ck.json", params, {"seed": 0}, "aggregator")
+    samples, manifest = data.gen_video_dataset(4, 32, data.VideoRecipe(l_max=480), t=480)
+    data.save_dataset(tmp_path / "videos.jsonl", samples, manifest)
+    loads = (
+        (lambda: list(load_checkpoint(tmp_path / "ck.json").params.values()),
+         [params[name] for name in sorted(params)]),
+        (lambda: [a for s in data.load_dataset(tmp_path / "videos.jsonl")[0]
+                  for a in (s.frames, s.label)],
+         [a for s in samples for a in (s.frames, s.label)]),
+    )
+    for load, want in loads:
+        payload = sum(arr.nbytes for arr in want)
+        tracemalloc.start()
+        try:
+            got = load()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * payload, peak / payload
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 # Faults of the file as a whole, through eval: each exits 2 with one
@@ -189,7 +202,8 @@ def test_load_peaks_below_two_and_a_half_payloads(tmp_path):
 def _schema2_document(header, arrays):
     """The same parameters as one JSON document with base64 data."""
     blob = {"schema_version": "2", "kind": header["kind"], "config": header["config"],
-            "params": {name: {"shape": list(arr.shape), "data": b64(arr)}
+            "params": {name: {"shape": list(arr.shape),
+                              "data": base64.b64encode(arr.tobytes()).decode("ascii")}
                        for name, arr in arrays.items()}}
     return (json.dumps(blob, sort_keys=True) + "\n").encode("ascii")
 
@@ -227,6 +241,24 @@ def test_file_fault_exits_2_naming_checkpoint(checkpoint_source, fault, expected
     assert str(path) in err and expected in err, err
     if fault == "schema 2":
         assert "re-run train" in err
+
+
+@pytest.mark.parametrize("shape, expected", [
+    ([2**40], "field 'data' holds"),
+    ([0, 2**62], "field 'data' has shape (0, 4611686018427387904)"),
+], ids=["2**40", "0x2**62"])
+def test_oversized_shape_exits_2_without_allocating(checkpoint_source, shape, expected):
+    # the bytes left in the file are counted before any buffer is made
+    root, config, (header, arrays) = checkpoint_source
+    header = json.loads(json.dumps(header))
+    header["params"][0][1] = shape
+    path = root / "oversized.json"
+    write_checkpoint(path, header, arrays)
+    code, err = run_quietly(["eval", "--config", str(config), "--checkpoint", str(path),
+                             "--out", str(root / "out")])
+    name = header["params"][0][0]
+    assert code == 2 and err.count("\n") == 1, err
+    assert f"parameter {name!r}: {expected}" in err, err
 
 
 # Checkpoint fuzz: one part of an aggregator checkpoint (its kind, a

@@ -14,7 +14,7 @@ from affectseq import autodiff as ad
 from affectseq import cli
 from affectseq.checkpoint import load_checkpoint, save_checkpoint
 from affectseq.config import RunConfig
-from helpers import b64, read_checkpoint, unb64, write_checkpoint
+from helpers import read_checkpoint, read_dataset, write_checkpoint, write_dataset
 
 
 def run(*argv):
@@ -245,13 +245,13 @@ def test_shuffled_label_eval_near_zero(tmp_path, capsys):
         "--epochs", "30", "--seed", "11", "--out", str(out),
     ) == 0
     # shuffle the labels across videos, breaking any real correlation
-    lines = [json.loads(l) for l in Path(data_path).read_text().splitlines()]
-    labels = [r["label"] for r in lines]
+    header, records = read_dataset(data_path)
+    labels = [r["label"] for r in records]
     rng = np.random.default_rng(0)
-    for record, label in zip(lines, [labels[i] for i in rng.permutation(len(labels))]):
+    for record, label in zip(records, [labels[i] for i in rng.permutation(len(labels))]):
         record["label"] = label
     shuffled = data_path.parent / "shuffled.jsonl"
-    shuffled.write_text("\n".join(json.dumps(r, sort_keys=True) for r in lines) + "\n")
+    write_dataset(shuffled, header, records)
     Path(f"{shuffled}.manifest.json").write_text(Path(f"{data_path}.manifest.json").read_text())
     capsys.readouterr()
     code = run(
@@ -286,6 +286,15 @@ def test_gradcheck_large_epsilon_warns(tmp_path, capsys):
     run("gradcheck", "--out", str(tmp_path / "gc"), "--epsilon", "1e-2")
     captured = capsys.readouterr()
     assert "warning" in captured.out
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_gradcheck_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
+    code = run("gradcheck", "--out", str(tmp_path / "gc"), "--epsilon", epsilon)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --epsilon must be finite and positive, got {float(epsilon)}\n"
+    assert not (tmp_path / "gc").exists()
 
 
 def test_mma_stage_trains_on_frames(tmp_path):
@@ -436,6 +445,26 @@ def test_eval_empty_split_exits_2(tmp_path, capsys):
     assert "test split is empty" in capsys.readouterr().err
 
 
+def test_eval_one_video_split_exits_2(tmp_path, capsys):
+    # a correlation over one video is undefined
+    data_path = gen_videos(tmp_path, seed=23, n=8)
+    out = tmp_path / "run"
+    assert run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "0", "--seed", "23", "--out", str(out),
+    ) == 0
+    capsys.readouterr()
+    code = run(
+        "eval", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--checkpoint", str(out / "checkpoint.json"),
+        "--split", "val", "--fractions", "0.75,0.125,0.125", "--out", str(tmp_path / "e"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the val split holds 1 video under --fractions 0.75,0.125,0.125; "
+        "eval needs at least 2\n")
+
+
 def test_frozen_train_empty_train_split_exits_2(tmp_path, capsys):
     data_path = gen_videos(tmp_path, seed=22, n=8)
     code = run(
@@ -447,24 +476,24 @@ def test_frozen_train_empty_train_split_exits_2(tmp_path, capsys):
     assert "train split is empty" in capsys.readouterr().err
 
 
-def _rewrite_first_record(path, edit):
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[0])
-    edit(record)
-    lines[0] = json.dumps(record, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
+def _rewrite_record(path, index, edit):
+    """Apply `edit` to the arrays of one record of a dataset file."""
+    header, records = read_dataset(path)
+    edit(records[index])
+    write_dataset(path, header, records)
 
 
 def test_video_record_missing_label_exits_3(tmp_path, capsys):
+    # the file ends where the last record's label starts
     data_path = gen_videos(tmp_path, seed=24, n=8)
-    _rewrite_first_record(data_path, lambda r: r.pop("label"))
+    _rewrite_record(data_path, -1, lambda arrays: arrays.pop("label"))
     code = run(
         "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
         "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "x"),
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "line 1" in err and "'label'" in err and len(err.strip().splitlines()) == 1
+    assert "record 8" in err and "'label'" in err and len(err.strip().splitlines()) == 1
 
 
 def test_manifest_missing_kind_exits_3(tmp_path, capsys):
@@ -498,7 +527,7 @@ def test_schema_1_manifest_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (
         f"error: unsupported dataset schema '1' in manifest {manifest} (this version reads "
-        "'2'); re-run gen to rebuild the dataset\n"
+        "'3'); re-run gen to rebuild the dataset\n"
     )
 
 
@@ -510,19 +539,17 @@ def test_descriptor_video_with_nan_exits_3(tmp_path, capsys):
     ) == 0
     data_path = out / "videos.jsonl"
 
-    def poison(record):
-        frames = unb64(record["frames"])
-        frames[0] = float("nan")
-        record["frames"] = b64(frames)
+    def poison(arrays):
+        arrays["frames"][0, 0] = float("nan")
 
-    _rewrite_first_record(data_path, poison)
+    _rewrite_record(data_path, 0, poison)
     code = run(
         "train", "--stage", "end-to-end", "--dataset", str(data_path), "--epochs", "1",
         "--t", "8", "--l-min", "2", "--l-max", "8", "--d-in", "8", "--out", str(tmp_path / "x"),
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "line 1" in err and "'frames'" in err and "non-finite" in err
+    assert "record 1" in err and "'frames'" in err and "non-finite" in err
 
 
 def test_eval_checkpoint_with_string_data_exits_2(tmp_path, capsys):

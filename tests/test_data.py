@@ -1,4 +1,7 @@
+import base64
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from affectseq import cli, data
 from affectseq.affect_space import AU_SLICE, EXPR_SLICE, relatedness_matrix
-from helpers import b64, unb64
+from helpers import read_dataset, write_dataset
 
 
 def test_distribute_examples():
@@ -190,14 +193,14 @@ def test_same_seed_writes_identical_bytes(tmp_path):
 
 
 def test_malformed_line_reports_line_number(tmp_path):
+    # a file cut short inside record 2 names record 2
     recipe = data.VideoRecipe(l_min=2, l_max=4)
     samples, manifest = data.gen_video_dataset(17, 3, recipe, t=6)
     path = tmp_path / "bad.jsonl"
     data.save_dataset(path, samples, manifest)
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1][:-5]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(data.DatasetError, match="line 2"):
+    header, records = read_dataset(path)
+    write_dataset(path, header, [records[0], {"frames": records[1]["frames"].tobytes()[:-5]}])
+    with pytest.raises(data.DatasetError, match="record 2: field 'frames' holds 1243 bytes"):
         data.load_dataset(path)
 
 
@@ -216,9 +219,9 @@ def test_length_beyond_t_rejected(tmp_path):
     samples, manifest = data.gen_video_dataset(19, 2, recipe, t=6)
     path = tmp_path / "bad.jsonl"
     data.save_dataset(path, samples, manifest)
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    records[0]["length"] = 9
-    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    header, records = read_dataset(path)
+    header["records"][0][1] = 9
+    write_dataset(path, header, records)
     with pytest.raises(data.DatasetError, match="length"):
         data.load_dataset(path)
 
@@ -237,11 +240,21 @@ def test_unlabeled_frame_rejected(tmp_path):
     samples, manifest = data.gen_frame_dataset(21, 2, data.FrameRecipe(d_in=4))
     path = tmp_path / "frames.jsonl"
     data.save_dataset(path, samples, manifest)
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    records[0]["labels"] = {"va": None, "expr": None, "au": None}
-    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    header, records = read_dataset(path)
+    header["records"][0][1:] = [None, False, False]
+    records[0] = {"features": records[0]["features"]}
+    write_dataset(path, header, records)
     with pytest.raises(data.DatasetError, match="no labels"):
         data.load_dataset(path)
+
+
+def test_bytes_after_last_record_rejected(tmp_path):
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, *data.gen_video_dataset(35, 2, data.VideoRecipe(l_min=2, l_max=4), 6))
+    path.write_bytes(path.read_bytes() + b"\0" * 5)
+    with pytest.raises(data.DatasetError) as info:
+        data.load_dataset(path)
+    assert str(info.value) == f"dataset {path}: 5 bytes follow the last record"
 
 
 def _small_dataset(kind, seed):
@@ -252,65 +265,77 @@ def _small_dataset(kind, seed):
 
 
 def _saved_with_edit(tmp_path, dataset, edit):
-    """Save (samples, manifest), apply `edit` to the decoded records, write back."""
+    """Save (samples, manifest), apply `edit` to the header and the list of
+    per-record arrays, write both back."""
     path = tmp_path / "bad.jsonl"
     data.save_dataset(path, *dataset)
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    edit(records)
-    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    header, records = read_dataset(path)
+    edit(header, records)
+    write_dataset(path, header, records)
     return path
+
+
+def _arrays_before(arrays, field):
+    """The leading arrays of one record, up to but not including `field`."""
+    return dict(itertools.takewhile(lambda item: item[0] != field, arrays.items()))
 
 
 @pytest.mark.parametrize("kind,field", [
     ("affect", "frames"), ("descriptor", "frames"), ("frames", "features"),
 ])
 def test_non_finite_values_rejected(tmp_path, kind, field):
-    def poison(records):
-        values = unb64(records[1][field])
-        values[0] = np.inf
-        records[1][field] = b64(values)
+    def poison(header, records):
+        records[1][field].flat[0] = np.inf
 
     path = _saved_with_edit(tmp_path, _small_dataset(kind, 26), poison)
-    with pytest.raises(data.DatasetError, match=f"line 2: field '{field}' holds a non-finite"):
+    with pytest.raises(data.DatasetError, match=f"record 2: field '{field}' holds a non-finite"):
         data.load_dataset(path)
 
 
+# a missing scalar leaves a header entry of the wrong length; a missing
+# array is a file that ends where the array starts
 @pytest.mark.parametrize("kind,field", [
     ("affect", "frames"), ("affect", "length"), ("affect", "label"), ("affect", "id"),
     ("frames", "features"), ("frames", "labels"),
 ])
 def test_missing_record_field_rejected(tmp_path, kind, field):
-    path = _saved_with_edit(tmp_path, _small_dataset(kind, 27), lambda r: r[0].pop(field))
-    with pytest.raises(data.DatasetError, match=f"line 1: record lacks field '{field}'"):
+    position = {"id": 0, "length": 1, "labels": slice(2, None)}.get(field)
+
+    def drop(header, records):
+        if position is None:
+            records[:] = [_arrays_before(records[0], field)]
+        else:
+            del header["records"][0][position]
+
+    path = _saved_with_edit(tmp_path, _small_dataset(kind, 27), drop)
+    if position is None:
+        expected = f"record 1: field '{field}' holds 0 bytes"
+    elif kind == "frames":
+        expected = "record 1: header entry is not an [id, expr, has_va, has_au] list"
+    else:
+        expected = "record 1: header entry is not an [id, length] list"
+    with pytest.raises(data.DatasetError, match=re.escape(expected)):
         data.load_dataset(path)
 
 
 @pytest.mark.parametrize("label,value", [("expr", "happy"), ("va", ["x", 0.0]), ("au", "none")])
 def test_wrongly_typed_frame_label_rejected(tmp_path, label, value):
-    def retype(records):
-        records[0]["labels"][label] = value
+    def retype(header, records):
+        header["records"][0][{"expr": 1, "va": 2, "au": 3}[label]] = value
 
     path = _saved_with_edit(tmp_path, _small_dataset("frames", 28), retype)
-    with pytest.raises(data.DatasetError, match=f"line 1: .*{label}"):
+    with pytest.raises(data.DatasetError, match=f"record 1: .*{label}"):
         data.load_dataset(path)
 
 
-def _owner(record, field):
-    """(owner, key) of a record field: the frame labels sit under 'labels'."""
-    return (record["labels"], field) if field in ("va", "expr", "au") else (record, field)
-
-
-def _bad_value(case, text):
-    """A malformed replacement for the stored array string `text`."""
-    values = unb64(text)
-    if case == "list":
-        return values.tolist()
-    if case == "non-base64":
-        return "not base64!"
+def _corrupt_array(records, field, case):
+    """Cut the file short inside record 2's `field` ("short"), or make the
+    field's last value non-finite."""
     if case == "short":
-        return b64(values[:-1])
-    values[-1] = np.nan if case == "nan" else -np.inf
-    return b64(values)
+        cut = records[1][field].tobytes()[:-8]
+        records[1:] = [{**_arrays_before(records[1], field), field: cut}]
+    else:
+        records[1][field].flat[-1] = np.nan if case == "nan" else -np.inf
 
 
 @pytest.mark.parametrize("kind,field", [
@@ -318,20 +343,15 @@ def _bad_value(case, text):
     ("frames", "features"), ("frames", "va"), ("frames", "au"),
 ])
 @pytest.mark.parametrize("case,expected", [
-    ("list", "is not a base64 string"),
-    ("non-base64", "is not valid base64"),
     ("short", "bytes, which does not match shape"),
     ("nan", "holds a non-finite value"),
     ("-inf", "holds a non-finite value"),
-], ids=["list", "non-base64", "short", "nan", "-inf"])
+], ids=["short", "nan", "-inf"])
 def test_malformed_array_field_names_line_and_field(tmp_path, capsys, kind, field, case,
                                                     expected):
-    def corrupt(records):
-        owner, key = _owner(records[1], field)
-        owner[key] = _bad_value(case, owner[key])
-
-    path = _saved_with_edit(tmp_path, _small_dataset(kind, 30), corrupt)
-    named = f"line 2: field '{field}' "
+    path = _saved_with_edit(tmp_path, _small_dataset(kind, 30),
+                            lambda header, records: _corrupt_array(records, field, case))
+    named = f"record 2: field '{field}' "
     with pytest.raises(data.DatasetError) as info:
         data.load_dataset(path)
     assert named in str(info.value) and expected in str(info.value)
@@ -341,11 +361,96 @@ def test_malformed_array_field_names_line_and_field(tmp_path, capsys, kind, fiel
     assert named in err and expected in err and err.count("\n") == 1
 
 
-# Loader fuzz: a dataset with one mutated field or manifest integer either
-# loads or raises DatasetError; any other exception fails the test.
+_DELETE = object()
 
-_ARRAY_FIELDS = {"frames": ("features", "va", "au"), "videos": ("frames", "label")}
-_PLAIN_FIELDS = {"frames": ("id", "labels", "expr"), "videos": ("id", "length")}
+
+def _set_entry(index, value):
+    def edit(header, records):
+        if index is None:
+            header["records"][1] = value
+        else:
+            header["records"][1][index] = value
+    return edit
+
+
+def _set_header(key, value):
+    def edit(header, records):
+        if value is _DELETE:
+            del header[key]
+        else:
+            header[key] = value
+    return edit
+
+
+_VIDEO_ENTRY = "record 2: header entry is not an [id, length] list"
+_FRAME_ENTRY = "record 2: header entry is not an [id, expr, has_va, has_au] list"
+
+
+@pytest.mark.parametrize("kind,edit,expected", [
+    ("affect", _set_entry(None, "video-00001"), _VIDEO_ENTRY),
+    ("affect", _set_entry(None, ["video-00001", 3, 0]), _VIDEO_ENTRY),
+    ("affect", _set_entry(0, 7), "record 2: field 'id' is not a string"),
+    ("affect", _set_entry(1, "3"), "record 2: field 'length' is not an integer"),
+    ("affect", _set_entry(1, 3.0), "record 2: field 'length' is not an integer"),
+    ("affect", _set_entry(1, True), "record 2: field 'length' is not an integer"),
+    ("frames", _set_entry(None, {"id": "frame-00001"}), _FRAME_ENTRY),
+    ("frames", _set_entry(0, None), "record 2: field 'id' is not a string"),
+    ("frames", _set_entry(1, 1.0), "record 2: bad expr label"),
+    ("frames", _set_entry(1, True), "record 2: bad expr label"),
+    ("frames", _set_entry(1, 7), "record 2: bad expr label"),
+    ("frames", _set_entry(2, 1), "record 2: field 'has_va' is not a boolean"),
+    ("frames", _set_entry(3, None), "record 2: field 'has_au' is not a boolean"),
+    ("affect", _set_header("records", _DELETE), "lacks field 'records'"),
+    ("frames", _set_header("records", {"frame-00000": []}), "field 'records' is not a JSON list"),
+    ("affect", _set_header("schema_version", "2"), "unsupported dataset schema '2' in dataset"),
+], ids=["video-str", "video-triple", "video-int-id", "str-length", "float-length",
+        "bool-length", "frame-object", "frame-null-id", "float-expr", "bool-expr",
+        "expr-range", "int-has-va", "null-has-au", "no-records", "object-records",
+        "schema-2"])
+def test_malformed_header_names_record_and_field(tmp_path, capsys, kind, edit, expected):
+    path = _saved_with_edit(tmp_path, _small_dataset(kind, 36), edit)
+    with pytest.raises(data.DatasetError) as info:
+        data.load_dataset(path)
+    assert expected in str(info.value)
+    stage = ("--stage", "mma") if kind == "frames" else ()
+    assert cli.main(["train", *stage, "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert expected in err and err.count("\n") == 1
+
+
+def test_schema_2_dataset_exits_3_asking_for_gen(tmp_path, capsys):
+    # the schema "2" layout: JSON lines of base64 arrays, manifest beside it
+    path = tmp_path / "videos.jsonl"
+    samples, manifest = _small_dataset("affect", 37)
+    data.save_dataset(path, samples, manifest)
+    path.write_text("".join(json.dumps({
+        "id": s.id, "length": s.length,
+        "frames": base64.b64encode(s.frames.astype("<f8").tobytes()).decode("ascii"),
+        "label": base64.b64encode(s.label.astype("<f8").tobytes()).decode("ascii"),
+    }, sort_keys=True) + "\n" for s in samples))
+    mpath = data.manifest_path(path)
+    mpath.write_text(mpath.read_text().replace('"schema_version": "3"', '"schema_version": "2"'))
+    assert cli.main(["train", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: unsupported dataset schema '2' in manifest {mpath} (this version "
+                   "reads '3'); re-run gen to rebuild the dataset\n")
+
+
+def test_oversized_manifest_t_exits_3_without_allocating(tmp_path, capsys):
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, *_small_dataset("affect", 38))
+    mpath = data.manifest_path(path)
+    mpath.write_text(mpath.read_text().replace('"t": 6', f'"t": {2**40}'))
+    assert cli.main(["train", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: record 1: field 'frames' holds 2608 bytes, which does not "
+                          f"match shape ({2**40}, 26)") and err.count("\n") == 1
+
+
+# Loader fuzz: a dataset with one mutated header entry, payload length,
+# stored value, byte or manifest integer either loads or raises
+# DatasetError; any other exception fails the test.
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -362,35 +467,41 @@ def fuzz_sources(tmp_path_factory):
                           ("videos", _small_dataset("affect", 31))):
         path = root / f"{kind}.jsonl"
         data.save_dataset(path, *dataset)
-        sources[kind] = (path.read_text(), data.manifest_path(path).read_text())
+        sources[kind] = (path.read_bytes(), data.manifest_path(path).read_text())
     return root / "fuzzed.jsonl", sources
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(kind=st.sampled_from(["frames", "videos"]),
-       mutation=st.sampled_from(["truncate", "replace", "retype", "manifest"]),
+       mutation=st.sampled_from(["entry", "length", "value", "byte", "manifest"]),
        draw=st.data())
 def test_mutated_dataset_loads_or_raises_dataset_error(fuzz_sources, kind, mutation, draw):
     path, sources = fuzz_sources
-    records = [json.loads(line) for line in sources[kind][0].splitlines()]
+    line, _, payload = sources[kind][0].partition(b"\n")
+    header = json.loads(line)
     manifest = json.loads(sources[kind][1])
-    record = records[draw.draw(st.integers(0, len(records) - 1))]
     if mutation == "manifest":
         key = draw.draw(st.sampled_from(["seed", "n", "d", "t"]))
         manifest[key] = draw.draw(st.none() | st.integers(-40, 40) | _JSON_VALUES)
-    elif mutation == "retype":
-        field = draw.draw(st.sampled_from(_ARRAY_FIELDS[kind] + _PLAIN_FIELDS[kind]))
-        owner, key = _owner(record, field)
-        owner[key] = draw.draw(_JSON_VALUES)
-    else:
-        owner, key = _owner(record, draw.draw(st.sampled_from(_ARRAY_FIELDS[kind])))
-        text = owner[key]
-        at = draw.draw(st.integers(0, len(text) - 1))
-        if mutation == "truncate":
-            owner[key] = text[:at]
+    elif mutation == "entry":
+        entries = header["records"]
+        i = draw.draw(st.integers(0, len(entries) - 1))
+        at = draw.draw(st.integers(-1, len(entries[i]) - 1))
+        if at < 0:
+            entries[i] = draw.draw(_JSON_VALUES)
         else:
-            owner[key] = text[:at] + draw.draw(st.characters()) + text[at + 1:]
-    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+            entries[i][at] = draw.draw(_JSON_VALUES)
+    elif mutation == "length":
+        cut = draw.draw(st.integers(0, len(payload)))
+        payload = payload[:cut] + draw.draw(st.binary(max_size=16))
+    elif mutation == "value":
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[draw.draw(st.integers(0, values.size - 1))] = draw.draw(st.floats())
+        payload = values.tobytes()
+    raw = bytearray((json.dumps(header, sort_keys=True) + "\n").encode() + payload)
+    if mutation == "byte":
+        raw[draw.draw(st.integers(0, len(raw) - 1))] = draw.draw(st.integers(0, 255))
+    path.write_bytes(bytes(raw))
     data.manifest_path(path).write_text(json.dumps(manifest))
     try:
         data.load_dataset(path)
@@ -399,38 +510,44 @@ def test_mutated_dataset_loads_or_raises_dataset_error(fuzz_sources, kind, mutat
 
 
 @pytest.mark.parametrize("target,expected", [
-    ("records", "line 2: record is not UTF-8 text"),
+    ("records", "is not UTF-8 text"),
     ("manifest", "is not UTF-8 text"),
 ], ids=["records", "manifest"])
 def test_non_utf8_byte_rejected(tmp_path, target, expected):
     path = tmp_path / "videos.jsonl"
     data.save_dataset(path, *_small_dataset("affect", 33))
     victim = path if target == "records" else data.manifest_path(path)
+    # the data file's header line is its first; the manifest is indented JSON
+    index = 0 if target == "records" else 1
     lines = victim.read_bytes().split(b"\n")
-    lines[1] = lines[1][:5] + b"\xff" + lines[1][6:]
+    lines[index] = lines[index][:5] + b"\xff" + lines[index][6:]
     victim.write_bytes(b"\n".join(lines))
-    with pytest.raises(data.DatasetError, match=expected):
+    with pytest.raises(data.DatasetError, match=expected) as info:
         data.load_dataset(path)
+    assert str(victim) in str(info.value)
 
 
 def test_dataset_missing_records_exits_3(tmp_path, capsys):
     path = tmp_path / "videos.jsonl"
     data.save_dataset(path, *data.gen_video_dataset(34, 16, data.VideoRecipe(), 32))
-    path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+    header, records = read_dataset(path)
+    header["records"] = header["records"][:1]
+    write_dataset(path, header, records[:1])
     assert cli.main(["train", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert err == f"error: manifest n is 16 but {path} holds 1 records\n"
 
 
 def test_manifest_width_that_misreads_frames_exits_3(tmp_path, capsys):
+    # a narrower width reads record 1's frames from the wrong bytes, which
+    # break its affect-row invariants
     path = tmp_path / "videos.jsonl"
     data.save_dataset(path, *_small_dataset("affect", 32))
     mpath = data.manifest_path(path)
     mpath.write_text(mpath.read_text().replace('"d": 26', '"d": 25'))
     assert cli.main(["train", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
-    assert "line 1: field 'frames' holds" in err and "shape (6, 25)" in err
-    assert err.count("\n") == 1
+    assert err.startswith("error: record 1: ") and err.count("\n") == 1, err
 
 
 def test_missing_manifest_rejected(tmp_path):

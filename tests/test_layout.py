@@ -7,7 +7,8 @@ tests/. Dunder methods are exempt: the language calls them. Likewise
 every attribute a method stores on `self` must be read, as an
 attribute, somewhere in src/ or perfbench/.
 
-The graph engine's rule tables are subscripted at one place each.
+The graph engine's rule tables are subscripted at one place each, and
+stored arrays are read in one module, `codec`, with no text encoding.
 """
 
 import ast
@@ -88,3 +89,24 @@ def test_rule_tables_have_one_dispatch_point():
                           if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name))
     assert subscripted["_FORWARD"] == 1
     assert subscripted["_BACKWARD"] == 1
+
+
+def test_stored_arrays_have_one_reader():
+    # every stored array is read through codec.Reader, one path of byte
+    # count and finite checks; text encodings of arrays are gone
+    importers, readers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "base64" for m in modules):
+                importers.append(path.name)
+        if "readinto" in _referenced_names(tree):
+            readers.append(path.name)
+    assert importers == [], importers
+    assert readers == ["codec.py"], readers
