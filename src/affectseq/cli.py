@@ -1,8 +1,9 @@
 """Command-line surface: gen, train, eval, gradcheck, ablate.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error (also
-missing/mismatched checkpoints), 3 I/O or dataset failure, 4 numeric
-failure. Every run echoes its effective config into the output
+missing/mismatched checkpoints, a split too small to train on or score,
+and an allocation the host cannot make), 3 I/O or dataset failure, 4
+numeric failure. Every run echoes its effective config into the output
 directory; identical seeds and configs reproduce every artifact
 byte-for-byte.
 
@@ -90,10 +91,30 @@ def _split_from_config(samples, config):
     return data.split(samples, config.parse_fractions(), config.seed)
 
 
-def _nonempty(part, name, config):
+def _require_split(part, name, need, unit, command, config):
+    """`part`, the `name` split, unless it holds fewer than `need` samples
+    (`unit`s), which is too few for `command` to train on or score."""
     if not part:
         raise ConfigError(f"the {name} split is empty under --fractions {config.fractions}")
+    if len(part) < need:
+        count = f"{len(part)} {unit}" + ("s" if len(part) != 1 else "")
+        raise ConfigError(f"the {name} split holds {count} under --fractions "
+                          f"{config.fractions}; {command} needs at least {need}")
     return part
+
+
+def _fit_parts(samples, config, min_train, min_val, unit, command):
+    """The config's split of `samples`: at least one loss batch of
+    `min_train` train samples, and `min_val` val samples to score an
+    epoch. With `min_val` None the val split may also be empty: the run
+    then trains on every sample and keeps the last epoch."""
+    parts = _split_from_config(samples, config)
+    _require_split(parts["train"], "train", min_train, unit, command, config)
+    if min_val is None:
+        min_val = 2 if parts["val"] else 0  # a correlation needs two videos
+    if min_val:
+        _require_split(parts["val"], "val", min_val, unit, command, config)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +221,7 @@ def cmd_train(config):
     if config.stage == "mma":
         samples, manifest = _load_videos(config, expect_kind="frames")
         _check_dims(manifest, None, config.d_in, "the config")
-        parts = _split_from_config(samples, config)
+        parts = _fit_parts(samples, config, 1, 1, "frame", "train")
         head_config = config.head_config()
         outcome = training.train_head(
             parts["train"], parts["val"], head_config,
@@ -211,8 +232,8 @@ def cmd_train(config):
     elif config.stage == "mrnn-frozen":
         samples, manifest = _load_videos(config)
         _check_dims(manifest, config.t, None, "the config")
-        parts = _split_from_config(samples, config)
-        _nonempty(parts["train"], "train", config)
+        parts = _fit_parts(samples, config, training.min_batch(config.loss), None, "video",
+                           "train")
         parts = _affect_parts(parts, manifest, config.head_checkpoint, config.representation)
         agg_config = config.aggregator_config()
         init = _load_params(config.checkpoint, "aggregator", agg_config.param_shapes(),
@@ -228,7 +249,8 @@ def cmd_train(config):
         if manifest.recipe.get("feature_kind") != "descriptor":
             raise ConfigError("end-to-end training expects descriptor videos")
         _check_dims(manifest, config.t, config.d_in, "the config")
-        parts = _split_from_config(samples, config)
+        parts = _fit_parts(samples, config, training.min_batch(config.loss), None, "video",
+                           "train")
         head_config = config.head_config()
         agg_config = config.aggregator_config(d_in=FEATURE_DIM)
         init_head = _load_params(config.head_checkpoint, "head", head_config.param_shapes(),
@@ -264,10 +286,9 @@ def cmd_eval(config):
     run = _run_config_from(ck, "--checkpoint")
     samples, manifest = _load_videos(config)
     _check_dims(manifest, run.t, run.d_in if ck.kind == "joint" else None, "the checkpoint")
-    part = _nonempty(_split_from_config(samples, config)[config.split], config.split, config)
-    if len(part) < 2:  # a correlation needs two points
-        raise ConfigError(f"the {config.split} split holds 1 video under --fractions "
-                          f"{config.fractions}; eval needs at least 2")
+    # a correlation needs two points
+    part = _require_split(_split_from_config(samples, config)[config.split], config.split, 2,
+                          "video", "eval", config)
     if ck.kind == "aggregator":
         part = _affect_parts({"eval": part}, manifest, config.head_checkpoint,
                              run.representation)["eval"]
@@ -338,8 +359,8 @@ def cmd_ablate(config):
     if manifest.d != FEATURE_DIM or manifest.recipe.get("feature_kind", "affect") != "affect":
         raise ConfigError(f"ablation needs a full {FEATURE_DIM}-dim affect video dataset")
     _check_dims(manifest, config.t, None, "the config")
-    parts = _split_from_config(samples, config)
-    _nonempty(parts["train"], "train", config)
+    # the sweep trains with the Pearson loss too, and reports only val scores
+    parts = _fit_parts(samples, config, training.min_batch("pearson"), 2, "video", "ablate")
 
     csv_lines = ["schema_version,1", "representation,mask,loss,val_mean_rho_percent"]
     txt_lines = [f"{'representation':<10s} {'mask':<5s} {'loss':<8s} {'mean rho (%)':>12s}"]
@@ -408,6 +429,10 @@ def main(argv=None):
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        # a config asking for more memory than the host has, e.g. a huge --t
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except (data.DatasetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

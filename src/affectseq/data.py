@@ -308,22 +308,35 @@ def video_label(frames, length):
     return 1.0 / (1.0 + np.exp(-4.0 * (np.asarray(vals) - 0.5)))
 
 
-def _affect_trajectory(rng, length, recipe):
-    va = np.empty((length, 2))
-    x = rng.uniform(-0.8, 0.8, size=2)
-    for k in range(length):
-        x = np.clip(
-            recipe.smoothness * x + recipe.drive * rng.normal(size=2), -1.0, 1.0
-        )
-        va[k] = x
+def _affect_trajectory(rng, length, recipe, relatedness):
+    """(length, 26) affect rows from `rng`: a clipped AR(1) valence-arousal
+    path, then its observation, expression mixture and action units.
+
+    All step noise is drawn in one call; `Generator.normal` fills it in C
+    order, so these are the per-step pairs a loop of `normal(size=2)`
+    would draw and the stream ends where that loop leaves it. The
+    recurrence runs over Python floats; its clamp equals `np.clip` for
+    every float, NaN included.
+    """
+    a = recipe.smoothness
+    x, y = rng.uniform(-0.8, 0.8, size=2).tolist()
+    # each step's kicks, flat, overwritten by the state they produce
+    path = (recipe.drive * rng.normal(size=(length, 2))).ravel().tolist()
+    for k in range(0, 2 * length, 2):
+        x = a * x + path[k]
+        y = a * y + path[k + 1]
+        x = -1.0 if x < -1.0 else 1.0 if x > 1.0 else x
+        y = -1.0 if y < -1.0 else 1.0 if y > 1.0 else y
+        path[k] = x
+        path[k + 1] = y
+    va = np.array(path).reshape(length, 2)
     va_obs = np.clip(va + recipe.feature_noise * rng.normal(size=(length, 2)), -1.0, 1.0)
     weights = np_softmax(
         _mixture_logits(va, recipe.temperature)
         + recipe.mix_noise * rng.normal(size=(length, len(EXPRESSIONS)))
     )
     au = np.clip(
-        weights @ relatedness_matrix()
-        + recipe.au_noise * rng.normal(size=(length, len(AU_IDS))),
+        weights @ relatedness + recipe.au_noise * rng.normal(size=(length, len(AU_IDS))),
         0.0,
         1.0,
     )
@@ -362,11 +375,12 @@ def gen_video_dataset(seed, n, recipe, t):
         raise DatasetError(f"unknown feature kind {recipe.feature_kind!r}")
 
     lift = _descriptor_lift(seed, recipe.d_in)
+    m = relatedness_matrix()
     samples = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
         rng = np.random.default_rng(child)
         length = int(rng.integers(recipe.l_min, recipe.l_max + 1))
-        affect = _affect_trajectory(rng, length, recipe)
+        affect = _affect_trajectory(rng, length, recipe, m)
         label = video_label(affect, length)
         padded = pad_sequence(affect, t)
         if recipe.padding == "noise" and length < t:
@@ -374,7 +388,7 @@ def gen_video_dataset(seed, n, recipe, t):
             # real content but independent of the label, so a model that
             # consumes padded positions is genuinely misled rather than just
             # averaging over white noise
-            padded[length:] = _affect_trajectory(rng, t - length, recipe)
+            padded[length:] = _affect_trajectory(rng, t - length, recipe, m)
         if recipe.feature_kind == "descriptor":
             emitted = padded @ lift
             emitted[:length] += recipe.feature_noise * 0.1 * rng.normal(

@@ -80,6 +80,12 @@ def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,
     return best
 
 
+def min_batch(loss_kind):
+    """The fewest videos a batch of this loss can train on: a Pearson
+    correlation needs two."""
+    return 2 if loss_kind == "pearson" else 1
+
+
 def _fit_videos(params, train_samples, val_samples, make_runner, predict, *, epochs,
                 batch_size, lr, loss_kind, seed):
     """`fit` over video samples: one cached runner per batch size, tracked
@@ -100,7 +106,7 @@ def _fit_videos(params, train_samples, val_samples, make_runner, predict, *, epo
         return float("nan")
 
     return fit(params, len(frames), step, validate, epochs=epochs, batch_size=batch_size,
-               seed=seed, min_size=2 if loss_kind == "pearson" else 1,
+               seed=seed, min_size=min_batch(loss_kind),
                metric_key="val_mean_rho", higher_is_better=True)
 
 

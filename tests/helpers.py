@@ -6,8 +6,9 @@ oracles (an id-keyed evaluate/backward, a grad_check that re-evaluates
 the whole graph per trial, and the per-step GRU backward formula), a
 second, independent implementation of the stored-array layout of
 checkpoints and datasets, and the inputs and quiet command-line runner of
-the config and checkpoint fuzz tests, and the two per-model parameter
-initializers that `optim.init_params` replaced."""
+the config and checkpoint fuzz tests, the two per-model parameter
+initializers that `optim.init_params` replaced, and the per-step
+valence-arousal loop of the video generator."""
 
 import contextlib
 import io
@@ -21,6 +22,8 @@ from affectseq import affect_head as head
 from affectseq import aggregator as agg
 from affectseq import autodiff as ad
 from affectseq import cli, metrics
+from affectseq.affect_space import AU_IDS, EXPRESSIONS
+from affectseq.data import _mixture_logits
 
 
 def const(x):
@@ -112,6 +115,29 @@ def head_init_oracle(config, seed):
         else:
             params[name] = rng.normal(size=shape) / np.sqrt(shape[0])
     return params
+
+
+def trajectory_oracle(rng, length, recipe, relatedness):
+    """`data._affect_trajectory` as one `normal(size=2)` draw and one
+    `np.clip` per frame of the valence-arousal path."""
+    va = np.empty((length, 2))
+    x = rng.uniform(-0.8, 0.8, size=2)
+    for k in range(length):
+        x = np.clip(
+            recipe.smoothness * x + recipe.drive * rng.normal(size=2), -1.0, 1.0
+        )
+        va[k] = x
+    va_obs = np.clip(va + recipe.feature_noise * rng.normal(size=(length, 2)), -1.0, 1.0)
+    weights = ad.np_softmax(
+        _mixture_logits(va, recipe.temperature)
+        + recipe.mix_noise * rng.normal(size=(length, len(EXPRESSIONS)))
+    )
+    au = np.clip(
+        weights @ relatedness + recipe.au_noise * rng.normal(size=(length, len(AU_IDS))),
+        0.0,
+        1.0,
+    )
+    return np.concatenate([va_obs, weights, au], axis=1)
 
 
 def dict_evaluate(graph, bindings):

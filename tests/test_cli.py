@@ -768,6 +768,84 @@ def test_eval_checkpoint_with_extra_parameter_exits_2(mismatch_runs, tmp_path, c
     assert err == "error: eval: checkpoint has extra parameter 'ff2.w'\n"
 
 
+# (argv with {name} for a path from mismatch_runs, the one-line message).
+# Of 16 samples, 0,0.5,0.5 leaves no train sample, 1,0,0 no val sample,
+# 0.875,0.0625,0.0625 one val video and 0.0625,0.5,0.4375 one train video.
+SPLIT_CASES = {
+    "mma-empty-train": (
+        "train --stage mma --dataset {frames8} --d-in 8 --fractions 0,0.5,0.5",
+        "the train split is empty under --fractions 0,0.5,0.5"),
+    "joint-empty-train": (
+        "train --stage end-to-end --dataset {desc8} --t 8 --d-in 8 --fractions 0,0.5,0.5",
+        "the train split is empty under --fractions 0,0.5,0.5"),
+    "mma-empty-val": (
+        "train --stage mma --dataset {frames8} --d-in 8 --fractions 1,0,0",
+        "the val split is empty under --fractions 1,0,0"),
+    "frozen-one-video-val": (
+        "train --dataset {aff8} --t 8 --fractions 0.875,0.0625,0.0625",
+        "the val split holds 1 video under --fractions 0.875,0.0625,0.0625; "
+        "train needs at least 2"),
+    "joint-one-video-val": (
+        "train --stage end-to-end --dataset {desc8} --t 8 --d-in 8 "
+        "--fractions 0.875,0.0625,0.0625",
+        "the val split holds 1 video under --fractions 0.875,0.0625,0.0625; "
+        "train needs at least 2"),
+    "ablate-one-video-val": (
+        "ablate --dataset {aff8} --t 8 --fractions 0.875,0.0625,0.0625",
+        "the val split holds 1 video under --fractions 0.875,0.0625,0.0625; "
+        "ablate needs at least 2"),
+    "frozen-pearson-one-video-train": (
+        "train --dataset {aff8} --t 8 --fractions 0.0625,0.5,0.4375",
+        "the train split holds 1 video under --fractions 0.0625,0.5,0.4375; "
+        "train needs at least 2"),
+    # the sweep trains with the Pearson loss whatever --loss says
+    "ablate-one-video-train": (
+        "ablate --dataset {aff8} --t 8 --loss mse --fractions 0.0625,0.5,0.4375",
+        "the train split holds 1 video under --fractions 0.0625,0.5,0.4375; "
+        "ablate needs at least 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_too_small_to_train_or_score_exits_2(mismatch_runs, tmp_path, capsys, case):
+    template, expected = SPLIT_CASES[case]
+    command, *argv = template.format(**mismatch_runs).split()
+    capsys.readouterr()
+    code = run(command, *SMALL, *argv, "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"error: {expected}\n"
+    assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+
+def test_mse_trains_on_one_video_train_split(mismatch_runs, tmp_path):
+    # an MSE batch of one video has a loss; a Pearson batch does not
+    out = tmp_path / "out"
+    assert run("train", *SMALL, "--dataset", str(mismatch_runs["aff8"]), "--t", "8",
+               "--loss", "mse", "--epochs", "1", "--fractions", "0.0625,0.5,0.4375",
+               "--out", str(out)) == 0
+    assert "nan" not in (out / "curve.csv").read_text()
+
+
+def test_impossible_allocation_exits_2(tmp_path, capsys):
+    # 10^13 rows of 26 float64s is about 2 PiB, which no host maps: the
+    # allocation fails at once
+    code = run("gen", "--preset", "desk", "--n", "1", "--t", "10000000000000",
+               "--l-min", "1", "--l-max", "1", "--out", str(tmp_path / "x"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
+
+def test_memory_error_without_message_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_gen", exhausted)
+    assert run("gen", "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_manifest_unknown_kind_exits_3(tmp_path, capsys):
     data_path = gen_videos(tmp_path, seed=29, n=8)
     manifest = Path(f"{data_path}.manifest.json")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from affectseq import cli, data
 from affectseq.affect_space import AU_SLICE, EXPR_SLICE, relatedness_matrix
-from helpers import read_dataset, write_dataset
+from helpers import read_dataset, trajectory_oracle, write_dataset
 
 
 def test_distribute_examples():
@@ -145,6 +145,48 @@ def test_gen_rejects_bad_ranges():
         data.gen_video_dataset(1, 4, data.VideoRecipe(l_min=0, l_max=3), t=8)
     with pytest.raises(data.DatasetError):
         data.gen_video_dataset(1, 4, data.VideoRecipe(padding="wrap"), t=32)
+
+
+TRAJECTORY_RECIPES = {
+    "default": data.VideoRecipe(),
+    "no-drive": data.VideoRecipe(drive=0.0),
+    # every kick overflows to +-inf or is beyond 1, and clips to +-1
+    "overflowing-drive": data.VideoRecipe(drive=1e308),
+    "anti-persistent": data.VideoRecipe(smoothness=-0.99),
+    # np.clip passes NaN through, and so must the clamp
+    "nan-smoothness": data.VideoRecipe(smoothness=float("nan")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_RECIPES))
+@pytest.mark.parametrize("length", [1, 32, 480])  # 32 and 480: the desk and paper t
+def test_trajectory_matches_per_step_oracle(name, length):
+    recipe, m = TRAJECTORY_RECIPES[name], relatedness_matrix()
+    fast, slow = np.random.default_rng(41), np.random.default_rng(41)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = data._affect_trajectory(fast, length, recipe, m)
+        want = trajectory_oracle(slow, length, recipe, m)
+    np.testing.assert_array_equal(got, want)  # NaNs in the same places count as equal
+    # the draws that follow the trajectory start where they did
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("padding", ["zeros", "noise"])
+@pytest.mark.parametrize("feature_kind", ["affect", "descriptor"])
+def test_video_dataset_bytes_match_per_step_oracle(tmp_path, monkeypatch, padding,
+                                                   feature_kind):
+    recipe = data.VideoRecipe(l_min=1, l_max=12, padding=padding, feature_kind=feature_kind,
+                              d_in=8)
+
+    def written(name):
+        path = tmp_path / name / "videos.jsonl"
+        path.parent.mkdir()
+        data.save_dataset(path, *data.gen_video_dataset(17, 24, recipe, t=12))
+        return path.read_bytes(), data.manifest_path(path).read_bytes()
+
+    fast = written("fast")
+    monkeypatch.setattr(data, "_affect_trajectory", trajectory_oracle)
+    assert written("oracle") == fast
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ tests/. Dunder methods are exempt: the language calls them. Likewise
 every attribute a method stores on `self` must be read, as an
 attribute, somewhere in src/ or perfbench/.
 
-The graph engine's rule tables are subscripted at one place each, and
-stored arrays are read in one module, `codec`, with no text encoding.
+The graph engine's rule tables are subscripted at one place each,
+stored arrays are read in one module, `codec`, with no text encoding,
+and the video generator's per-frame loop makes no numpy call.
 """
 
 import ast
@@ -110,3 +111,18 @@ def test_stored_arrays_have_one_reader():
             readers.append(path.name)
     assert importers == [], importers
     assert readers == ["codec.py"], readers
+
+
+def test_trajectory_loop_makes_no_numpy_call():
+    # the valence-arousal recurrence draws its noise in one call before
+    # the loop; a numpy call per frame costs most of gen at the paper shape
+    tree = ast.parse((PACKAGE / "data.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_affect_trajectory")
+    loops = [node for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
+    assert loops, "_affect_trajectory has no per-frame loop to check"
+    calls = [f"line {call.lineno}: {ast.unparse(call.func)}"
+             for loop in loops for stmt in loop.body for call in ast.walk(stmt)
+             if isinstance(call, ast.Call)
+             and {"np", "rng"} & {n.id for n in ast.walk(call.func) if isinstance(n, ast.Name)}]
+    assert not calls, "numpy call inside the per-frame loop: " + ", ".join(calls)
