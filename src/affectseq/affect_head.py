@@ -69,6 +69,9 @@ class AffectOutput:
         return np.concatenate([self.va, self.expr, self.au], axis=-1)
 
 
+# diverged parameters may overflow float64 here; the aggregator graph
+# that reads the output rejects non-finite values, naming its node
+@np.errstate(over="ignore", invalid="ignore")
 def head_forward(features, params, config):
     """Numeric forward pass; accepts a single descriptor or a batch."""
     x = np.asarray(features, dtype=np.float64)

@@ -135,18 +135,20 @@ def pearson_loss_node(preds, labels):
     finite, and then zeroes the ratio exactly. The flag is computed in
     the graph, so one cached graph serves every batch.
     """
-    cov = ad.covariance(preds, labels, axis=0)
-    var = ad.mul(ad.variance(preds, axis=0), ad.variance(labels, axis=0))
-    flag = ad.constant_columns(preds, labels)
+    cov = ad.covariance(preds, labels, axis=0, name="pearson.cov")
+    var = ad.mul(ad.variance(preds, axis=0, name="pearson.var_preds"),
+                 ad.variance(labels, axis=0, name="pearson.var_labels"), name="pearson.var")
+    flag = ad.constant_columns(preds, labels, name="pearson.flag")
     one = ad.constant(1.0)
-    rho = ad.div(cov, ad.sqrt(ad.add(var, flag)))
-    rho = ad.mul(rho, ad.sub(one, flag))
-    return ad.sub(one, ad.reduce_mean(rho))
+    denom = ad.sqrt(ad.add(var, flag, name="pearson.bumped"), name="pearson.denom")
+    rho = ad.div(cov, denom, name="pearson.ratio")
+    rho = ad.mul(rho, ad.sub(one, flag, name="pearson.keep"), name="pearson.rho")
+    return ad.sub(one, ad.reduce_mean(rho, name="pearson.mean_rho"), name="pearson.loss")
 
 
 def mse_loss_node(preds, labels):
-    diff = ad.sub(preds, labels)
-    return ad.reduce_mean(ad.mul(diff, diff))
+    diff = ad.sub(preds, labels, name="mse.diff")
+    return ad.reduce_mean(ad.mul(diff, diff, name="mse.square"), name="mse.loss")
 
 
 def loss_node(preds, labels, loss_kind):

@@ -117,19 +117,19 @@ def add(a, b, name=None):
     return Node("add", _broadcast(a, b, "add"), (a, b), name=name)
 
 
-def sub(a, b):
+def sub(a, b, name=None):
     a, b = _lift(a), _lift(b)
-    return Node("sub", _broadcast(a, b, "sub"), (a, b))
+    return Node("sub", _broadcast(a, b, "sub"), (a, b), name=name)
 
 
-def mul(a, b):
+def mul(a, b, name=None):
     a, b = _lift(a), _lift(b)
-    return Node("mul", _broadcast(a, b, "mul"), (a, b))
+    return Node("mul", _broadcast(a, b, "mul"), (a, b), name=name)
 
 
-def div(a, b):
+def div(a, b, name=None):
     a, b = _lift(a), _lift(b)
-    return Node("div", _broadcast(a, b, "div"), (a, b))
+    return Node("div", _broadcast(a, b, "div"), (a, b), name=name)
 
 
 def scale(a, c):
@@ -174,9 +174,9 @@ def log(a, floor=0.0):
     return Node("log", a.shape, (a,), floor=float(floor))
 
 
-def sqrt(a):
+def sqrt(a, name=None):
     a = _lift(a)
-    return Node("sqrt", a.shape, (a,))
+    return Node("sqrt", a.shape, (a,), name=name)
 
 
 def _reduced_shape(a, axis, op):
@@ -192,26 +192,27 @@ def reduce_sum(a, axis=None):
     return Node("sum", _reduced_shape(a, axis, "sum"), (a,), axis=axis)
 
 
-def reduce_mean(a, axis=None):
+def reduce_mean(a, axis=None, name=None):
     a = _lift(a)
-    return Node("mean", _reduced_shape(a, axis, "mean"), (a,), axis=axis)
+    return Node("mean", _reduced_shape(a, axis, "mean"), (a,), name=name, axis=axis)
 
 
-def variance(a, axis=None):
+def variance(a, axis=None, name=None):
     """Population variance (1/n) along `axis`, or over all entries."""
     a = _lift(a)
-    return Node("variance", _reduced_shape(a, axis, "variance"), (a,), axis=axis)
+    return Node("variance", _reduced_shape(a, axis, "variance"), (a,), name=name, axis=axis)
 
 
-def covariance(a, b, axis=None):
+def covariance(a, b, axis=None, name=None):
     """Population covariance of two same-shaped operands."""
     a, b = _lift(a), _lift(b)
     if a.shape != b.shape:
         raise GraphError(f"covariance: shapes {a.shape} != {b.shape}")
-    return Node("covariance", _reduced_shape(a, axis, "covariance"), (a, b), axis=axis)
+    return Node("covariance", _reduced_shape(a, axis, "covariance"), (a, b), name=name,
+                axis=axis)
 
 
-def constant_columns(a, b):
+def constant_columns(a, b, name=None):
     """1.0 for each column where `a` or `b` holds a single value, else 0.0.
 
     Constancy is exact equality, as in metrics.pearson_flagged. The flag
@@ -220,7 +221,7 @@ def constant_columns(a, b):
     a, b = _lift(a), _lift(b)
     if len(a.shape) != 2 or a.shape != b.shape:
         raise GraphError(f"constant_columns: need equal 2-d shapes, got {a.shape} and {b.shape}")
-    return Node("constant_columns", (a.shape[1],), (a, b))
+    return Node("constant_columns", (a.shape[1],), (a, b), name=name)
 
 
 def concat(nodes, axis=0):

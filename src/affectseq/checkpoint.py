@@ -10,12 +10,15 @@ Reloading reproduces every parameter bit-exactly, and saving what was
 loaded reproduces the file byte for byte.
 
 The loader checks every header field's type and that the names are
-unique and sorted; ``codec.Reader`` checks that the payload holds
-exactly the bytes the shapes call for, reading each parameter straight
-into its own array, and that every value is finite. Each failure is a
-``CheckpointError`` naming the file and, where there is one, the
-parameter and field. A schema "2" checkpoint (one JSON document) is
-rejected with a message to re-run train.
+unique and sorted, all before it reads any payload; ``codec.Reader``
+then checks that the payload holds exactly the bytes the shapes call
+for, reading every parameter in one pass into one buffer that the
+parameters are views of, and that every value is finite. Each failure
+is a ``CheckpointError`` naming the file and, where there is one, the
+parameter and field; a fault of the header comes before any fault of
+the payload, and payload faults come in file order. A schema "2"
+checkpoint (one JSON document) is rejected with a message to re-run
+train.
 """
 
 from __future__ import annotations
@@ -75,20 +78,23 @@ def load_checkpoint(path):
             raise CheckpointError(f"{where}: field 'config' is not a JSON object")
         if not isinstance(entries, list):
             raise CheckpointError(f"{where}: field 'params' is not a JSON list")
-        params, previous = {}, None
+        names, specs = [], []
         for i, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
                 raise CheckpointError(f"{where}: params[{i}] is not a [name, shape] pair")
             name, shape = entry
             at = f"{where}: parameter {name!r}"
-            if previous is not None and name <= previous:
+            if names and name <= names[-1]:
                 raise CheckpointError(
-                    f"{at} appears twice" if name == previous
-                    else f"{at} follows {previous!r}; names must be in sorted order"
+                    f"{at} appears twice" if name == names[-1]
+                    else f"{at} follows {names[-1]!r}; names must be in sorted order"
                 )
             if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
                 raise CheckpointError(f"{at}: field 'shape' is not a list of non-negative integers")
-            params[name] = reader.read(tuple(shape), f"{at}: field 'data'")
-            previous = name
+            names.append(name)
+            specs.append((tuple(shape), f"{at}: field 'data'"))
+        _, arrays, fault = reader.read_arrays(specs)
+        if fault:
+            raise fault
         reader.finish("parameter")
-    return Checkpoint(kind=kind, config=config, params=params)
+    return Checkpoint(kind=kind, config=config, params=dict(zip(names, arrays)))

@@ -45,21 +45,25 @@ SUBSET_ORDER = ("va", "expr", "au", "va+expr", "va+au", "expr+au", "all")
 _DEFAULTS = RunConfig()
 
 
-def _add_config_flags(sub):
-    sub.add_argument("--config", dest="config_file", metavar="PATH", default=None,
-                     help="JSON config file; flags override file values")
+def _config_flags():
+    """A parser holding `--config` and one flag per RunConfig field, for
+    every subcommand to take as a parent."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", dest="config_file", metavar="PATH", default=None,
+                       help="JSON config file; flags override file values")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
         default = getattr(_DEFAULTS, f.name)
         if isinstance(default, bool):
-            sub.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction,
-                             default=None)
+            flags.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction,
+                               default=None)
         elif isinstance(default, int):
-            sub.add_argument(flag, dest=f.name, type=int, default=None)
+            flags.add_argument(flag, dest=f.name, type=int, default=None)
         elif isinstance(default, float):
-            sub.add_argument(flag, dest=f.name, type=float, default=None)
+            flags.add_argument(flag, dest=f.name, type=float, default=None)
         else:
-            sub.add_argument(flag, dest=f.name, type=str, default=None)
+            flags.add_argument(flag, dest=f.name, type=str, default=None)
+    return flags
 
 
 def _config_from_args(args):
@@ -101,6 +105,14 @@ def _require_split(part, name, need, unit, command, config):
         raise ConfigError(f"the {name} split holds {count} under --fractions "
                           f"{config.fractions}; {command} needs at least {need}")
     return part
+
+
+def _require_batch(config, loss, command):
+    """Reject a --batch-size below the fewest videos a `loss` batch needs."""
+    need = training.min_batch(loss)
+    if config.batch_size < need:
+        raise ConfigError(f"{command} trains the {loss} loss, whose batches need at least "
+                          f"{need} videos; got --batch-size {config.batch_size}")
 
 
 def _fit_parts(samples, config, min_train, min_val, unit, command):
@@ -217,6 +229,8 @@ def _checkpoint_config(config):
 
 
 def cmd_train(config):
+    if config.stage != "mma":
+        _require_batch(config, config.loss, "train")
     out = _out_dir(config)
     if config.stage == "mma":
         samples, manifest = _load_videos(config, expect_kind="frames")
@@ -267,7 +281,10 @@ def cmd_train(config):
     save_checkpoint(out / "checkpoint.json", outcome.params, _checkpoint_config(config), kind)
     training.write_curve_csv(out / "curve.csv", outcome.history)
     training.write_curve_svg(out / "curve.svg", outcome.history, series=("train_loss", metric_key))
-    print(f"best epoch {outcome.best_epoch} {metric_key} {outcome.best_metric:.6f}")
+    if outcome.best_metric is None:
+        print(f"last epoch {outcome.best_epoch} (empty val split: no validation)")
+    else:
+        print(f"best epoch {outcome.best_epoch} {metric_key} {outcome.best_metric:.6f}")
     print(f"checkpoint {out / 'checkpoint.json'}")
     return EXIT_OK
 
@@ -354,6 +371,7 @@ def cmd_gradcheck(config, epsilon):
 
 
 def cmd_ablate(config):
+    _require_batch(config, "pearson", "ablate")  # the sweep trains both losses
     out = _out_dir(config)
     samples, manifest = _load_videos(config)
     if manifest.d != FEATURE_DIM or manifest.recipe.get("feature_kind", "affect") != "affect":
@@ -397,6 +415,7 @@ def build_parser():
         "checking, and ablation sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = _config_flags()
     for name, help_text in (
         ("gen", "generate a synthetic dataset with its manifest"),
         ("train", "train one stage and write checkpoint + curves"),
@@ -404,8 +423,7 @@ def build_parser():
         ("gradcheck", "verify every loss and layer against finite differences"),
         ("ablate", "sweep representation subsets, masking, and loss choices"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
-        _add_config_flags(cmd)
+        cmd = sub.add_parser(name, help=help_text, parents=[flags])
         if name == "gradcheck":
             cmd.add_argument("--epsilon", type=float, default=1e-6)
     return parser

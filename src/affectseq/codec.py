@@ -9,12 +9,14 @@ every value bit-exactly, signed zeros and subnormals included.
 ``Reader`` is the one validation path for every caller. It checks that
 the header line is UTF-8 JSON naming an object, that each array's bytes
 are in the file before its buffer is allocated, that every value is
-finite, and that no bytes follow the last array. It reads each array
-straight into its own buffer.
+finite, and that no bytes follow the last array. It reads every array
+of a file in one pass: one buffer, one ``readinto``, one finite check.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
@@ -41,7 +43,7 @@ def write(path, header, arrays):
 
 class Reader:
     """A stored-array file open for reading: `header` is its header object,
-    and `read` takes the arrays after it in order. Every failure raises
+    and `read_arrays` takes every array after it. Every failure raises
     `error`, the caller's exception class; a fault of the whole file names
     it by `where`."""
 
@@ -74,28 +76,52 @@ class Reader:
     def __exit__(self, *exc):
         self._fh.close()
 
-    def read(self, shape, where):
-        """The next array, of `shape` (a tuple of non-negative integers), as
-        an owned, finite C-order float64 array; each failure's message
-        starts with `where`, the caller's name for the field."""
-        expected = _DTYPE.itemsize * math.prod(shape)
-        got = min(expected, self._left)
-        if got == expected:
-            try:
-                data = np.empty(shape, dtype=_DTYPE)
-            except ValueError:  # a zero-size shape with a dimension numpy cannot index
-                raise self._error(f"{where} has shape {shape}, which numpy cannot hold") from None
-            # fewer bytes than expected only if the file shrank while read
-            got = self._fh.readinto(data.reshape(-1).view(np.uint8))
-            self._left -= got
-        if got != expected:
-            raise self._error(
-                f"{where} holds {got} bytes, which does not match "
-                f"shape {shape} ({expected} bytes)"
+    def read_arrays(self, specs):
+        """Every array left in the file, for `specs`, the `(shape, where)` of
+        each in file order (a shape is a tuple of non-negative integers,
+        `where` the caller's name for the array).
+
+        One float64 buffer holds the arrays the file holds in full, and no
+        more; it is filled by one readinto and checked for non-finite
+        values in one pass. Returns `(flat, arrays, fault)`: that buffer,
+        the C-contiguous float64 views of it for the arrays before the
+        first fault, in file order, and the fault, an exception of the
+        caller's class for the next array, or None. A fault is the array
+        the file ends in, the first array holding a non-finite value, or
+        a shape numpy cannot hold, whichever comes first in the file; its
+        message starts with that array's `where`. The caller raises it
+        once it has checked the arrays before it.
+        """
+        itemsize = _DTYPE.itemsize
+        # ends[k] is where array k starts and ends[k + 1] where it ends, in values
+        ends = [0, *itertools.accumulate(math.prod(shape) for shape, _ in specs)]
+        avail = self._left
+        whole = bisect.bisect_right(ends, avail // itemsize) - 1  # arrays held in full
+        flat = np.empty(ends[whole], dtype=_DTYPE)
+        got = self._fh.readinto(flat.view(np.uint8))
+        self._left -= got
+        if got < flat.nbytes:  # the file shrank while read
+            avail = got
+            whole = bisect.bisect_right(ends, avail // itemsize) - 1
+        stop, fault = whole, None
+        if whole < len(specs):
+            shape, where = specs[whole]
+            fault = self._error(
+                f"{where} holds {avail - itemsize * ends[whole]} bytes, which does not "
+                f"match shape {shape} ({itemsize * (ends[whole + 1] - ends[whole])} bytes)"
             )
-        if not np.isfinite(data).all():
-            raise self._error(f"{where} holds a non-finite value")
-        return data
+        finite = np.isfinite(flat[:ends[whole]])
+        if not finite.all():
+            stop = bisect.bisect_right(ends, int(np.argmin(finite))) - 1
+            fault = self._error(f"{specs[stop][1]} holds a non-finite value")
+        arrays = []
+        for k, (shape, where) in enumerate(specs[:stop]):
+            try:
+                arrays.append(flat[ends[k]:ends[k + 1]].reshape(shape))
+            except ValueError:  # a zero-size shape with a dimension numpy cannot index
+                fault = self._error(f"{where} has shape {shape}, which numpy cannot hold")
+                break
+        return flat, arrays, fault
 
     def finish(self, last):
         """Raise the caller's error if any bytes follow the last array read,

@@ -133,10 +133,6 @@ class RunConfig:
             (self.d_hidden >= 1 and self.d_ff >= 1, "aggregator dims must be >= 1"),
             (self.gru_layers in (1, 2), "gru_layers must be 1 or 2"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
-            (
-                self.loss != "pearson" or self.batch_size >= 2,
-                "pearson loss needs batch_size >= 2",
-            ),
             (self.lr >= 0.0, "lr must be >= 0"),
             (self.temperature > 0.0, "temperature must be > 0"),
             (self.epochs >= 0, "epochs must be >= 0"),

@@ -21,8 +21,9 @@ a frame (``expr`` is null when unlabeled). After it come each record's
 arrays in record order: a video's ``frames`` (t, d) then ``label`` (7,);
 a frame's ``features`` (d,), then ``va`` (2,) and ``au`` (17,) when
 present. The loader takes each array's shape from the manifest, reads
-it straight into its own buffer, and checks every record invariant,
-naming the record number and field of the first failure.
+every array in one pass (see ``codec.Reader.read_arrays``), checks each
+record invariant over all records at once, and names the record number
+and field of the first failure in file order.
 """
 
 from __future__ import annotations
@@ -457,6 +458,9 @@ def load_dataset(path):
     """Read a dataset and its manifest, validating every record invariant.
 
     Raises DatasetError naming the record number and offending field.
+    Faults come in file order: the header line first, every record's
+    header entry in record order, then the payload, record by record,
+    each record's faults in the order the record's fields are stored.
     """
     path = Path(path)
     mpath = manifest_path(path)
@@ -471,7 +475,7 @@ def load_dataset(path):
     except UnicodeDecodeError:
         raise DatasetError(f"manifest {mpath} is not UTF-8 text") from None
     manifest = DatasetManifest.from_dict(blob, where=f"manifest {mpath}")
-    parse = _parse_frame if manifest.kind == "frames" else _parse_video
+    load = _load_frames if manifest.kind == "frames" else _load_videos
     where = f"dataset {path}"
     with codec.Reader(path, DatasetError, where) as reader:
         _check_schema(reader.header.get("schema_version"), where)
@@ -483,49 +487,114 @@ def load_dataset(path):
         if len(records) != manifest.n:
             raise DatasetError(
                 f"manifest n is {manifest.n} but {path} holds {len(records)} records")
-        samples = [parse(reader, entry, manifest, number)
-                   for number, entry in enumerate(records, start=1)]
+        samples = load(reader, records, manifest)
         reader.finish("record")
     return samples, manifest
 
 
-def _parse_frame(reader, entry, manifest, number):
-    _check(isinstance(entry, list) and len(entry) == 4, number,
-           "header entry is not an [id, expr, has_va, has_au] list")
-    sample_id, expr, has_va, has_au = entry
-    _check(isinstance(sample_id, str), number, "field 'id' is not a string")
-    _check(type(has_va) is bool, number, "field 'has_va' is not a boolean")
-    _check(type(has_au) is bool, number, "field 'has_au' is not a boolean")
-    _check(has_va or expr is not None or has_au, number, "sample carries no labels")
-    features = reader.read((manifest.d,), f"record {number}: field 'features'")
-    va = au = None
-    if has_va:
-        va = reader.read((2,), f"record {number}: field 'va'")
-        _check(np.all(np.abs(va) <= 1.0), number, "bad va label")
-    if expr is not None:
-        _check(type(expr) is int and 0 <= expr < len(EXPRESSIONS), number, "bad expr label")
-    if has_au:
-        au = reader.read((len(AU_IDS),), f"record {number}: field 'au'")
-        _check(set(np.unique(au)) <= {0.0, 1.0}, number, "bad au label (need a binary 17-vector)")
-    return FrameSample(id=sample_id, features=features, va=va, expr=expr, au=au)
+def _load_frames(reader, records, manifest):
+    features = (manifest.d,)
+    specs, labels = [], {"va": [], "au": []}  # labels: (array index, record number) per field
+    for number, entry in enumerate(records, start=1):
+        _check(isinstance(entry, list) and len(entry) == 4, number,
+               "header entry is not an [id, expr, has_va, has_au] list")
+        sample_id, expr, has_va, has_au = entry
+        _check(isinstance(sample_id, str), number, "field 'id' is not a string")
+        _check(type(has_va) is bool, number, "field 'has_va' is not a boolean")
+        _check(type(has_au) is bool, number, "field 'has_au' is not a boolean")
+        _check(has_va or expr is not None or has_au, number, "sample carries no labels")
+        if expr is not None:
+            _check(type(expr) is int and 0 <= expr < len(EXPRESSIONS), number, "bad expr label")
+        at = f"record {number}: field "
+        specs.append((features, at + "'features'"))
+        if has_va:
+            labels["va"].append((len(specs), number))
+            specs.append(((2,), at + "'va'"))
+        if has_au:
+            labels["au"].append((len(specs), number))
+            specs.append(((len(AU_IDS),), at + "'au'"))
+    _, arrays, fault = reader.read_arrays(specs)
+    # each label field's invariant, over all its labels at once
+    bad = []
+    for field, message in (("va", "bad va label"),
+                           ("au", "bad au label (need a binary 17-vector)")):
+        held = [(k, number) for k, number in labels[field] if k < len(arrays)]
+        if held:
+            values = np.array([arrays[k] for k, _ in held])
+            ok = (np.abs(values) <= 1.0 if field == "va" else (values == 0.0) | (values == 1.0))
+            bad += [(k, number, message) for (k, number), good in zip(held, ok.all(axis=1))
+                    if not good]
+    if bad:
+        _, number, message = min(bad)
+        raise DatasetError(f"record {number}: {message}")
+    if fault:
+        raise fault
+    stored = iter(arrays)
+    return [FrameSample(id=sample_id, features=next(stored), va=next(stored) if has_va else None,
+                        expr=expr, au=next(stored) if has_au else None)
+            for sample_id, expr, has_va, has_au in records]
 
 
-def _parse_video(reader, entry, manifest, number):
-    _check(isinstance(entry, list) and len(entry) == 2, number,
-           "header entry is not an [id, length] list")
-    sample_id, length = entry
-    _check(isinstance(sample_id, str), number, "field 'id' is not a string")
-    _check(type(length) is int, number, "field 'length' is not an integer")
-    frames = reader.read((manifest.t, manifest.d), f"record {number}: field 'frames'")
-    label = reader.read((len(INTENSITY_CLASSES),), f"record {number}: field 'label'")
-    _check(1 <= length <= manifest.t, number, f"length {length} outside [1, {manifest.t}]")
-    _check(np.all((label >= 0) & (label <= 1)), number, "bad intensity label")
-    recipe = manifest.recipe
-    if recipe.get("padding", "zeros") == "zeros" and length < manifest.t:
-        _check(np.all(frames[length:] == 0.0), number, "padded rows are not zero")
-    if recipe.get("feature_kind", "affect") == "affect":
-        _validate_affect_rows(frames[:length], number)
-    return VideoSample(id=sample_id, frames=frames, length=length, label=label)
+def _load_videos(reader, records, manifest):
+    t, d = manifest.t, manifest.d
+    specs = []
+    for number, entry in enumerate(records, start=1):
+        _check(isinstance(entry, list) and len(entry) == 2, number,
+               "header entry is not an [id, length] list")
+        sample_id, length = entry
+        _check(isinstance(sample_id, str), number, "field 'id' is not a string")
+        _check(type(length) is int, number, "field 'length' is not an integer")
+        _check(1 <= length <= t, number, f"length {length} outside [1, {t}]")
+        specs += [((t, d), f"record {number}: field 'frames'"),
+                  ((len(INTENSITY_CLASSES),), f"record {number}: field 'label'")]
+    flat, arrays, fault = reader.read_arrays(specs)
+    whole = len(arrays) // 2  # the records read in full
+    if whole:
+        lengths = np.array([length for _, length in records[:whole]])
+        rows = flat[:whole * (t * d + len(INTENSITY_CLASSES))].reshape(whole, -1)
+        _check_videos(rows[:, :t * d].reshape(whole, t, d), lengths, rows[:, t * d:],
+                      manifest.recipe)
+    if fault:
+        raise fault
+    return [VideoSample(id=sample_id, frames=frames, length=length, label=label)
+            for (sample_id, length), frames, label in zip(records, arrays[::2], arrays[1::2])]
+
+
+def _check_videos(frames, lengths, labels, recipe):
+    """Raise DatasetError naming the first video, and its first invariant,
+    that `frames` (n, t, d), `lengths` (n,) and `labels` (n, 7) break.
+
+    One pass over all videos flags every video that may break one: the
+    zero padding over the rows past each length, the affect bounds over
+    all rows (zero rows and decoy rows lie within them), the expr sums
+    over the live rows. The flagged videos are then checked one by one,
+    in order, over their live rows, which names the fault.
+    """
+    n, t, d = frames.shape
+    values = frames.reshape(n, t * d)
+    live = np.arange(t) < lengths[:, None]  # (n, t)
+    ok = ((labels >= 0) & (labels <= 1)).all(axis=1)
+    zeros = recipe.get("padding", "zeros") == "zeros"
+    affect = recipe.get("feature_kind", "affect") == "affect"
+    if zeros:
+        ok &= ~((values != 0.0) & np.repeat(~live, d, axis=1)).any(axis=1)
+    if affect:
+        # each column's bounds: the va block in [-1, 1], expr mass
+        # nonnegative, the au block in [0, 1], all up to 1e-12
+        low, high = np.full(d, -np.inf), np.full(d, np.inf)
+        low[VA_SLICE], high[VA_SLICE] = -1.0 - 1e-12, 1.0 + 1e-12
+        low[EXPR_SLICE] = -1e-12
+        low[AU_SLICE], high[AU_SLICE] = -1e-12, 1.0 + 1e-12
+        ok &= ((values >= np.tile(low, t)) & (values <= np.tile(high, t))).all(axis=1)
+        sums = frames[..., EXPR_SLICE].sum(axis=2)  # the same sums, bit for bit, as below
+        ok &= ((np.abs(sums - 1.0) <= 1e-6) | ~live).all(axis=1)
+    for i in np.flatnonzero(~ok):
+        number, length, label = i + 1, lengths[i], labels[i]
+        _check(np.all((label >= 0) & (label <= 1)), number, "bad intensity label")
+        if zeros and length < t:
+            _check(np.all(frames[i, length:] == 0.0), number, "padded rows are not zero")
+        if affect:
+            _validate_affect_rows(frames[i, :length], number)
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,18 @@ def pearson_flagged(x, y):
     """(pearson, degenerate) where degenerate marks a zero-variance input.
 
     Constancy is detected exactly (all entries equal), not through the
-    computed variance, which can pick up representation noise.
+    computed variance, which can pick up representation noise. Moments
+    that overflow float64 raise FloatingPointError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if _is_constant(x) or _is_constant(y):
         _moments(x, y)  # still validate shapes
         return 0.0, True
-    _, _, vx, vy, cov = _moments(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, vx, vy, cov = _moments(x, y)
+    if not np.isfinite([vx, vy, cov]).all():
+        raise FloatingPointError("the Pearson moments overflow float64")
     return float(cov / np.sqrt(vx * vy)), False
 
 
@@ -99,7 +103,10 @@ def evaluate(preds, labels):
         raise ValueError(f"intensity task expects (n, 7) arrays, got {preds.shape}")
     per, flags = {}, []
     for i, name in enumerate(INTENSITY_CLASSES):
-        value, degenerate = pearson_flagged(preds[:, i], labels[:, i])
+        try:
+            value, degenerate = pearson_flagged(preds[:, i], labels[:, i])
+        except FloatingPointError as e:
+            raise FloatingPointError(f"class {name!r}: {e}") from None
         per[name] = value
         if degenerate:
             flags.append(name)

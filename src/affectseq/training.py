@@ -34,7 +34,7 @@ class TrainOutcome:
     params: dict  # parameters at the best epoch
     history: list = field(default_factory=list)
     best_epoch: int = 0
-    best_metric: float = 0.0
+    best_metric: float | None = None  # None when nothing was validated
 
 
 def _epoch_batches(n, batch_size, rng, min_size=1):
@@ -52,30 +52,33 @@ def fit(params, n, step, validate, *, epochs, batch_size, seed, min_size=1,
     `step(params, opt_state, idx)` runs one Adam step on the examples
     `idx` and returns (params, opt_state, loss); `validate(params)`
     returns the metric recorded under `metric_key`. Batches smaller than
-    `min_size` are skipped. Epoch 0 (the initial parameters) is a
-    candidate; a NaN metric always replaces the best, and on ties the
-    earlier epoch wins. The best epoch's params dict is kept as `step`
-    returned it, not copied: `step` must return fresh arrays and never
-    write to the ones it is given, as `optim.adam_step` does.
+    `min_size` are skipped; every epoch must keep at least one. Epoch 0
+    (the initial parameters) is a candidate, and on ties the earlier
+    epoch wins. With `validate` None nothing is scored: the history holds
+    only the train loss and the last epoch is kept, its metric None. The
+    kept params dict is the one `step` returned, not a copy: `step` must
+    return fresh arrays and never write to the ones it is given, as
+    `optim.adam_step` does.
     """
     state = optim.adam_init(params)
     rng = np.random.default_rng(seed)
-    best = TrainOutcome(params=params, best_epoch=0, best_metric=validate(params))
+    best = TrainOutcome(params=params, best_epoch=0,
+                        best_metric=validate(params) if validate else None)
     history = []
     for epoch in range(1, epochs + 1):
         losses = []
         for idx in _epoch_batches(n, batch_size, rng, min_size):
             params, state, loss = step(params, state, idx)
             losses.append(loss)
-        metric = validate(params)
-        history.append({
-            "epoch": epoch,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            metric_key: metric,
-        })
-        better = metric > best.best_metric if higher_is_better else metric < best.best_metric
-        if np.isnan(metric) or better:
-            best = TrainOutcome(params=params, best_epoch=epoch, best_metric=metric)
+        row = {"epoch": epoch, "train_loss": float(np.mean(losses))}
+        if validate is None:
+            best = TrainOutcome(params=params, best_epoch=epoch, best_metric=None)
+        else:
+            row[metric_key] = metric = validate(params)
+            better = metric > best.best_metric if higher_is_better else metric < best.best_metric
+            if better:
+                best = TrainOutcome(params=params, best_epoch=epoch, best_metric=metric)
+        history.append(row)
     best.history = history
     return best
 
@@ -89,7 +92,8 @@ def min_batch(loss_kind):
 def _fit_videos(params, train_samples, val_samples, make_runner, predict, *, epochs,
                 batch_size, lr, loss_kind, seed):
     """`fit` over video samples: one cached runner per batch size, tracked
-    by validation mean correlation of `predict(val_samples, params)`."""
+    by validation mean correlation of `predict(val_samples, params)`, or
+    keeping the last epoch when there are no val samples."""
     frames, lengths, labels = video_arrays(train_samples)
     val_labels = np.asarray([s.label for s in val_samples])
     runners = {}
@@ -101,12 +105,13 @@ def _fit_videos(params, train_samples, val_samples, make_runner, predict, *, epo
         return runners[n].step(p, state, frames[idx], lengths[idx], labels[idx], lr)
 
     def validate(p):
-        if len(val_samples) >= 2:
+        try:
             return metrics.evaluate(predict(val_samples, p), val_labels).mean
-        return float("nan")
+        except FloatingPointError as e:
+            raise FloatingPointError(f"validation failed: {e}") from None
 
-    return fit(params, len(frames), step, validate, epochs=epochs, batch_size=batch_size,
-               seed=seed, min_size=min_batch(loss_kind),
+    return fit(params, len(frames), step, validate if val_samples else None, epochs=epochs,
+               batch_size=batch_size, seed=seed, min_size=min_batch(loss_kind),
                metric_key="val_mean_rho", higher_is_better=True)
 
 
@@ -130,9 +135,7 @@ def train_head(train_samples, val_samples, head_config, *, epochs, batch_size, l
         return p, state, loss.total
 
     def validate(p):
-        if val_samples:
-            return head.head_loss(head.frame_batch(val_samples), p, head_config).total
-        return float("nan")
+        return head.head_loss(head.frame_batch(val_samples), p, head_config).total
 
     return fit(params, len(train_samples), step, validate, epochs=epochs,
                batch_size=batch_size, seed=seed, metric_key="val_loss",
@@ -199,14 +202,9 @@ def train_joint(train_samples, val_samples, head_config, agg_config, *, epochs, 
 
 
 def write_curve_csv(path, history):
-    cols = []
-    for row in history:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
+    cols = list(history[0]) if history else []  # every row has the same keys
     lines = ["schema_version,1", ",".join(cols)]
-    for row in history:
-        lines.append(",".join(repr(row.get(c, float("nan"))) for c in cols))
+    lines += [",".join(repr(row[c]) for c in cols) for row in history]
     atomic.write_text(path, "\n".join(lines) + "\n")
 
 

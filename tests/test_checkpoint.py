@@ -1,4 +1,5 @@
 import base64
+import itertools
 import json
 import math
 import re
@@ -48,8 +49,11 @@ def test_round_trip_preserves_every_bit(tmp_path):
     for name, arr in params.items():
         got, want = ck.params[name], np.ascontiguousarray(arr, dtype=np.float64)
         assert got.dtype == np.float64 and got.shape == arr.shape
-        assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+        assert got.flags.c_contiguous and got.flags.writeable
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the parameters are views of one buffer, and no two of them overlap
+    for a, b in itertools.combinations(ck.params.values(), 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_file_size_is_header_line_plus_float64(tmp_path):
@@ -259,6 +263,30 @@ def test_oversized_shape_exits_2_without_allocating(checkpoint_source, shape, ex
     name = header["params"][0][0]
     assert code == 2 and err.count("\n") == 1, err
     assert f"parameter {name!r}: {expected}" in err, err
+
+
+def test_header_faults_come_before_payload_faults(checkpoint_source, tmp_path):
+    # the whole header line is checked before any payload is read, then
+    # the payload's faults come in file order
+    _, _, (source_header, source_arrays) = checkpoint_source
+    names = [name for name, _ in source_header["params"]]
+    header = json.loads(json.dumps(source_header))
+    header["params"][2][1] = "x"
+    arrays = {**source_arrays, names[0]: source_arrays[names[0]].tobytes()[:8]}
+    path = tmp_path / "faulty.json"
+    write_checkpoint(path, header, arrays)
+    with pytest.raises(CheckpointError) as caught:
+        load_checkpoint(path)
+    assert str(caught.value) == (f"checkpoint {path}: parameter {names[2]!r}: field 'shape' is "
+                                 "not a list of non-negative integers")
+    poisoned = {name: arr.copy() for name, arr in source_arrays.items()}
+    poisoned[names[1]].flat[0] = np.nan
+    poisoned[names[2]] = poisoned[names[2]].tobytes()[:8]
+    write_checkpoint(path, source_header, {name: poisoned[name] for name in names[:3]})
+    with pytest.raises(CheckpointError) as caught:
+        load_checkpoint(path)
+    assert str(caught.value) == (f"checkpoint {path}: parameter {names[1]!r}: field 'data' "
+                                 "holds a non-finite value")
 
 
 # Checkpoint fuzz: one part of an aggregator checkpoint (its kind, a

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -860,3 +861,132 @@ def test_manifest_unknown_kind_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert f"manifest {manifest}: field 'kind' is 'bogus'" in err and err.count("\n") == 1
+
+
+# The batch-size rule: only a run that trains the Pearson loss on video
+# batches needs two videos a batch. gen, eval, gradcheck and the head
+# stage take --batch-size 1; ablate sweeps the Pearson loss whatever
+# --loss says.
+
+@pytest.mark.parametrize("template", [
+    "gen --t 8 --n 4",
+    "eval --dataset {aff8} --checkpoint {agg8}",
+    "train --stage mma --dataset {frames8} --d-in 8 --epochs 1",
+    "train --dataset {aff8} --t 8 --loss mse --epochs 1",
+], ids=["gen", "eval", "mma", "frozen-mse"])
+def test_batch_of_one_runs_where_no_pearson_loss_trains(mismatch_runs, tmp_path, capsys,
+                                                       template):
+    command, *argv = template.format(**mismatch_runs).split()
+    code = run(command, *SMALL, *argv, "--batch-size", "1", "--out", str(tmp_path / "out"))
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("template, loss, command", [
+    ("train --dataset {aff8} --t 8", "pearson", "train"),
+    ("train --stage end-to-end --dataset {desc8} --t 8 --d-in 8", "pearson", "train"),
+    ("ablate --dataset {aff8} --t 8 --loss mse", "pearson", "ablate"),
+], ids=["frozen", "end-to-end", "ablate-mse"])
+def test_pearson_batch_of_one_exits_2(mismatch_runs, tmp_path, capsys, template, loss, command):
+    name, *argv = template.format(**mismatch_runs).split()
+    capsys.readouterr()
+    code = run(name, *SMALL, *argv, "--batch-size", "1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {command} trains the {loss} loss, whose batches need at least 2 videos; "
+        "got --batch-size 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epochs", ["1", "2"])
+@pytest.mark.parametrize("stage, loss", [("mrnn-frozen", "pearson"), ("mrnn-frozen", "mse"),
+                                         ("end-to-end", "pearson")])
+def test_diverging_aggregator_run_exits_4_with_one_line(mismatch_runs, tmp_path, capsys,
+                                                        epochs, stage, loss):
+    # one batch an epoch at lr 1e300 blows the output layer up: the
+    # validation moments overflow float64 before a second step can run
+    dataset = ("--dataset", str(mismatch_runs["aff8"])) if stage == "mrnn-frozen" else (
+        "--dataset", str(mismatch_runs["desc8"]), "--d-in", "8", "--head-width", "8")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run("train", "--preset", "desk", "--t", "8", "--l-min", "2", "--l-max", "8",
+                   "--stage", stage, *dataset, "--lr", "1e300", "--loss", loss,
+                   "--epochs", epochs, "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith("numeric failure: validation failed: class '") and err.count("\n") == 1
+    assert err.endswith("': the Pearson moments overflow float64\n"), err
+
+
+def _stored_text(out):
+    """The text of every CSV and JSON file under `out`; a checkpoint
+    contributes its header line."""
+    for path in sorted(out.rglob("*")):
+        if path.suffix in (".csv", ".json"):
+            raw = path.read_bytes()
+            yield path, (raw.partition(b"\n")[0] if path.name == "checkpoint.json" else raw)
+
+
+@pytest.mark.parametrize("template", [
+    "train --dataset {aff8} --t 8",
+    "train --stage end-to-end --dataset {desc8} --t 8 --d-in 8",
+], ids=["frozen", "end-to-end"])
+def test_empty_val_split_trains_without_validation(mismatch_runs, tmp_path, capsys, template):
+    command, *argv = template.format(**mismatch_runs).split()
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, *SMALL, *argv, "--epochs", "2", "--fractions", "1,0,0",
+               "--out", str(out)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "last epoch 2 (empty val split: no validation)")
+    assert (out / "curve.csv").read_text().splitlines()[1] == "epoch,train_loss"
+    for path, text in _stored_text(out):
+        assert b"nan" not in text.lower(), path
+
+
+# A grid over the split fractions and batch size of train, eval and
+# ablate, the loss of each run drawn from a seeded stream: every run
+# succeeds or exits 2, 3 or 4 with one stderr line, and a run that
+# succeeds writes no NaN into any CSV or JSON file.
+
+_GRID_FRACTIONS = ("1,0,0", "0.875,0.0625,0.0625", "0.5,0.25,0.25", "0.0625,0.5,0.4375",
+                   "0,0.5,0.5")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_fractions_and_batch_size_grid_exits_cleanly(mismatch_runs, tmp_path, capsys, command):
+    argv = {
+        "train": ("--dataset", str(mismatch_runs["aff8"]), "--t", "8"),
+        "eval": ("--dataset", str(mismatch_runs["aff8"]),
+                 "--checkpoint", str(mismatch_runs["agg8"]), "--split", "train"),
+        "ablate": ("--dataset", str(mismatch_runs["aff8"]), "--t", "8"),
+    }[command]
+    rng = np.random.default_rng(17)
+    codes = []
+    for i, (fractions, batch_size) in enumerate(itertools.product(_GRID_FRACTIONS,
+                                                                  ("1", "2", "16"))):
+        loss = str(rng.choice(["pearson", "mse"]))
+        out = tmp_path / f"run{i}"
+        capsys.readouterr()
+        code = run(command, *argv, *SMALL, "--epochs", "1", "--fractions", fractions,
+                   "--batch-size", batch_size, "--loss", loss, "--out", str(out))
+        err = capsys.readouterr().err
+        case = (command, fractions, batch_size, loss, err)
+        assert code in (0, 2, 3, 4), case
+        codes.append(code)
+        if code:
+            assert err.count("\n") == 1, case
+            continue
+        for path, text in _stored_text(out):
+            assert b"nan" not in text.lower(), (case, path)
+    assert 0 in codes and 2 in codes, codes
+
+
+def test_config_flags_are_declared_once():
+    # every subcommand shares the one set of config flag actions
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    shared = [{a.dest: a for a in sub._actions if a.dest != "help"}
+              for sub in subcommands.choices.values()]
+    for dest in ["config_file", *(f.name for f in fields(RunConfig))]:
+        assert all(actions[dest] is shared[0][dest] for actions in shared), dest

@@ -61,7 +61,7 @@ def test_invalid_json_rejected(tmp_path):
         ({"representation": "pixels"}, "representation"),
         ({"l_min": 10, "l_max": 5}, "l_min"),
         ({"l_max": 99, "t": 32}, "l_max"),
-        ({"batch_size": 1}, "pearson"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
         ({"epochs": -1}, "epochs"),
         ({"fractions": "0.5,0.5"}, "fractions"),
         ({"label_mix": "va:0.5,maybe:0.5"}, "label_mix"),

@@ -489,6 +489,123 @@ def test_oversized_manifest_t_exits_3_without_allocating(tmp_path, capsys):
                           f"match shape ({2**40}, 26)") and err.count("\n") == 1
 
 
+# Several faults in one file: the header line and every header entry come
+# first, then the payload record by record in file order, each record's
+# faults in the order its fields are stored (a video's frames and label,
+# then its invariants; a frame's features, va and its range, au and its
+# values), and bytes after the last record last.
+
+def _four_records(kind):
+    if kind == "frames":
+        samples, manifest = data.gen_frame_dataset(40, 4, data.FrameRecipe(d_in=4))
+    else:
+        samples, manifest = data.gen_video_dataset(
+            40, 4, data.VideoRecipe(l_min=2, l_max=4, padding=kind), t=6)
+    return samples, manifest
+
+
+def _cut_in(records, number, field):
+    """Cut the file 8 bytes into record `number`'s `field`."""
+    kept = records[:number - 1]
+    head = dict(itertools.takewhile(lambda item: item[0] != field, records[number - 1].items()))
+    records[:] = kept + [{**head, field: records[number - 1][field].tobytes()[:8]}]
+
+
+def _poison(records, number, field, value=np.nan):
+    records[number - 1][field].flat[-1] = value
+
+
+_ORDER_CASES = {
+    "header-entry-before-earlier-cut": (
+        "zeros", lambda h, r: (h["records"][2].__setitem__(0, 3), _cut_in(r, 1, "frames")),
+        "record 3: field 'id' is not a string"),
+    "length-range-before-earlier-non-finite": (
+        "zeros", lambda h, r: (h["records"][3].__setitem__(1, 9), _poison(r, 1, "frames")),
+        "record 4: length 9 outside [1, 6]"),
+    "earlier-invariant-before-non-finite": (
+        "zeros", lambda h, r: (_poison(r, 1, "label", 1.5), _poison(r, 2, "frames")),
+        "record 1: bad intensity label"),
+    "earlier-non-finite-before-invariant": (
+        "zeros", lambda h, r: (_poison(r, 1, "frames", np.inf), _poison(r, 2, "label", 1.5)),
+        "record 1: field 'frames' holds a non-finite value"),
+    "earlier-invariant-before-cut": (
+        "zeros", lambda h, r: (_poison(r, 2, "frames", 0.5), _cut_in(r, 3, "label")),
+        "record 2: padded rows are not zero"),
+    "read-before-invariant-in-one-record": (
+        "zeros", lambda h, r: (_poison(r, 2, "frames", 0.5), _poison(r, 2, "label")),
+        "record 2: field 'label' holds a non-finite value"),
+    "invariant-before-trailing-bytes": (
+        "noise", lambda h, r: (_poison(r, 3, "label", -0.5), r.append({"tail": b"\0" * 5})),
+        "record 3: bad intensity label"),
+    "va-range-before-au-read-in-one-record": (
+        "frames", lambda h, r: (_poison(r, 2, "va", 1.5), _poison(r, 2, "au")),
+        "record 2: bad va label"),
+    "earlier-au-read-before-va-range": (
+        "frames", lambda h, r: (_poison(r, 1, "au", np.inf), _poison(r, 2, "va", -2.0)),
+        "record 1: field 'au' holds a non-finite value"),
+    "au-values-before-later-features-read": (
+        "frames", lambda h, r: (_poison(r, 2, "au", 0.5), _poison(r, 3, "features")),
+        "record 2: bad au label (need a binary 17-vector)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORDER_CASES))
+def test_faults_are_reported_in_file_order(tmp_path, case):
+    kind, edit, expected = _ORDER_CASES[case]
+    path = _saved_with_edit(tmp_path, _four_records(kind), edit)
+    with pytest.raises(data.DatasetError) as info:
+        data.load_dataset(path)
+    assert str(info.value) == expected
+
+
+def test_expr_sum_message_quotes_the_live_sum_furthest_from_one(tmp_path):
+    samples, manifest = _four_records("zeros")
+    samples[2].frames[0, EXPR_SLICE] = 0.8 / 7
+    samples[2].frames[1, EXPR_SLICE] = 1.3 / 7
+    path = tmp_path / "bad.jsonl"
+    data.save_dataset(path, samples, manifest)
+    with pytest.raises(data.DatasetError) as info:
+        data.load_dataset(path)
+    assert str(info.value) == "record 3: expr block does not sum to 1 (got 1.3)"
+
+
+def test_affect_checks_skip_rows_past_the_length(tmp_path):
+    # noise padding is a decoy trajectory; a padded row that breaks the
+    # affect invariants is outside the video and loads
+    samples, manifest = _four_records("noise")
+    short = next(s for s in samples if s.length < manifest.t)
+    short.frames[short.length:] = 5.0
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, samples, manifest)
+    loaded, _ = data.load_dataset(path)
+    np.testing.assert_array_equal(loaded[samples.index(short)].frames, short.frames)
+
+
+@pytest.mark.parametrize("labels", [
+    combo for r in (1, 2, 3) for combo in itertools.combinations(("va", "expr", "au"), r)
+], ids="+".join)
+def test_frame_labels_round_trip_for_every_pattern(tmp_path, labels):
+    samples, manifest = data.gen_frame_dataset(41, 6, data.FrameRecipe(d_in=5))
+    for s in samples:
+        for field in {"va", "expr", "au"} - set(labels):
+            setattr(s, field, None)
+    path = tmp_path / "frames.jsonl"
+    data.save_dataset(path, samples, manifest)
+    loaded, _ = data.load_dataset(path)
+    stored = []
+    for s, got in zip(samples, loaded):
+        assert got.id == s.id and got.expr == s.expr
+        for field in ("features", "va", "au"):
+            want, have = getattr(s, field), getattr(got, field)
+            assert (want is None) == (have is None), field
+            if want is not None:
+                assert have.dtype == np.float64 and have.flags.c_contiguous
+                np.testing.assert_array_equal(have, want)
+                stored.append(have)
+    for a, b in itertools.combinations(stored, 2):
+        assert not np.shares_memory(a, b)
+
+
 # Loader fuzz: a dataset with one mutated header entry, payload length,
 # stored value, byte or manifest integer either loads or raises
 # DatasetError; any other exception fails the test.

@@ -9,7 +9,8 @@ attribute, somewhere in src/ or perfbench/.
 
 The graph engine's rule tables are subscripted at one place each,
 stored arrays are read in one module, `codec`, with no text encoding,
-and the video generator's per-frame loop makes no numpy call.
+each loader reads its file's arrays with one call, and the video
+generator's per-frame loop makes no numpy call.
 """
 
 import ast
@@ -111,6 +112,30 @@ def test_stored_arrays_have_one_reader():
             readers.append(path.name)
     assert importers == [], importers
     assert readers == ["codec.py"], readers
+
+
+def test_each_loader_reads_its_arrays_in_one_call():
+    # codec.Reader has one read method, and each loader calls it once,
+    # outside any loop, for every array of its file
+    codec = ast.parse((PACKAGE / "codec.py").read_text())
+    reader = next(node for node in codec.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Reader")
+    assert [m.name for m in reader.body if isinstance(m, ast.FunctionDef)
+            and m.name.startswith("read")] == ["read_arrays"]
+    loaders = {"checkpoint.py": ["load_checkpoint"], "data.py": ["_load_frames", "_load_videos"]}
+    for module, names in loaders.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        calling = sorted(name for name, func in funcs.items()
+                         if "read_arrays" in _referenced_names(func))
+        assert calling == names, (module, calling)
+        for name in names:
+            calls = [node for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute) and node.func.attr == "read_arrays"]
+            assert len(calls) == 1, name
+            loops = [node for node in ast.walk(funcs[name])
+                     if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+            assert not any(call in ast.walk(loop) for loop in loops for call in calls), name
 
 
 def test_trajectory_loop_makes_no_numpy_call():

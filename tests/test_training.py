@@ -144,9 +144,15 @@ def test_fit_earlier_epoch_wins_ties():
     assert outcome.history[0] == {"epoch": 1, "train_loss": 5.0 / 3.0, "m": 0.5}
 
 
-def test_fit_nan_metric_replaces_best():
-    outcome = _stub_fit([0.1, 0.5, float("nan"), 0.9], epochs=3)
-    assert outcome.best_epoch == 2 and np.isnan(outcome.best_metric)
+def test_fit_without_validation_keeps_last_epoch():
+    def step(p, state, idx):
+        return {"w": p["w"] + 1.0}, state, float(len(idx))
+
+    outcome = training.fit({"w": np.zeros(2)}, 5, step, None, epochs=3, batch_size=2, seed=0,
+                           metric_key="m", higher_is_better=True)
+    assert outcome.best_epoch == 3 and outcome.best_metric is None
+    np.testing.assert_array_equal(outcome.params["w"], np.full(2, 9.0))  # 3 steps/epoch
+    assert outcome.history == [{"epoch": e, "train_loss": 5.0 / 3.0} for e in (1, 2, 3)]
 
 
 def test_fit_lower_is_better_tracks_minimum():
