@@ -18,6 +18,7 @@ tasks contribute exactly zero and are flagged in the loss breakdown.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,19 +107,16 @@ def head_nodes(config, features):
 # loss builders (expression-graph nodes)
 
 
-def weighted_va_ccc_loss_node(pred, label, row_weights):
-    """1 - 0.5*(ccc_valence + ccc_arousal) over weight-selected batch rows.
+def weighted_va_ccc_loss_node(pred, label, rows):
+    """1 - 0.5*(ccc_valence + ccc_arousal) over the labeled batch rows.
 
-    `row_weights` is a fixed (batch, 1) 0/1 array choosing the samples
-    that carry valence-arousal labels; moments are computed over the
-    selected rows only.
+    `rows` is a (batch, 1) 0/1 node choosing the samples that carry
+    valence-arousal labels; moments are computed over those rows only.
     """
-    w = np.asarray(row_weights, dtype=np.float64).reshape(-1, 1)
-    n = float(w.sum())
-    wc = ad.constant(w)
+    inv_n = ad.div(1.0, ad.reduce_sum(rows))
 
     def wmean(node):
-        return ad.scale(ad.reduce_sum(ad.mul(wc, node), axis=0), 1.0 / n)
+        return ad.mul(ad.reduce_sum(ad.mul(rows, node), axis=0), inv_n)
 
     mp = wmean(pred)
     ml = wmean(label)
@@ -136,23 +134,18 @@ def weighted_va_ccc_loss_node(pred, label, row_weights):
 def cross_entropy_node(probs, onehot):
     """Mean over labeled rows of -log p[label]; unlabeled rows carry
     all-zero one-hot rows and drop out of the sum."""
-    onehot = np.asarray(onehot, dtype=np.float64)
-    n = float(onehot.sum())
-    picked = ad.reduce_sum(ad.mul(ad.constant(onehot), ad.log(probs, floor=LOG_FLOOR)))
-    return ad.scale(picked, -1.0 / n)
+    picked = ad.reduce_sum(ad.mul(onehot, ad.log(probs, floor=LOG_FLOOR)))
+    return ad.mul(picked, ad.div(-1.0, ad.reduce_sum(onehot)))
 
 
-def binary_cross_entropy_node(probs, labels, row_weights):
-    w = np.asarray(row_weights, dtype=np.float64).reshape(-1, 1)
-    labels = np.asarray(labels, dtype=np.float64)
-    n = float(w.sum()) * labels.shape[1]
-    pos = ad.mul(ad.constant(labels), ad.log(probs, floor=LOG_FLOOR))
-    neg = ad.mul(
-        ad.constant(1.0 - labels),
-        ad.log(ad.sub(ad.constant(1.0), probs), floor=LOG_FLOOR),
-    )
+def binary_cross_entropy_node(probs, labels, rows):
+    """Mean binary cross entropy over the entries of the labeled rows;
+    `rows` is a (batch, 1) 0/1 node."""
+    pos = ad.mul(labels, ad.log(probs, floor=LOG_FLOOR))
+    neg = ad.mul(ad.sub(1.0, labels), ad.log(ad.sub(1.0, probs), floor=LOG_FLOOR))
     per_entry = ad.add(pos, neg)
-    return ad.scale(ad.reduce_sum(ad.mul(ad.constant(w), per_entry)), -1.0 / n)
+    n = ad.scale(ad.reduce_sum(rows), labels.shape[1])
+    return ad.mul(ad.reduce_sum(ad.mul(rows, per_entry)), ad.div(-1.0, n))
 
 
 def coupling_node(au_probs, au_targets, two_term=False):
@@ -181,47 +174,30 @@ def pseudo_au_node(expr):
 # batched multi-task loss
 
 
-@dataclass
-class FrameBatch:
-    """Dense arrays for one batch of frame samples with label masks."""
-
-    features: np.ndarray  # (n, d_in)
-    va: np.ndarray  # (n, 2), zeros where unlabeled
-    va_mask: np.ndarray  # (n,) bool
-    expr: np.ndarray  # (n,) int, -1 where unlabeled
-    expr_mask: np.ndarray  # (n,) bool
-    au: np.ndarray  # (n, 17), zeros where unlabeled
-    au_mask: np.ndarray  # (n,) bool
-
-    def __len__(self):
-        return self.features.shape[0]
-
-
-def frame_batch(samples):
-    """Stack frame samples into a FrameBatch; absent labels are masked out."""
+def frame_arrays(samples):
+    """Stack frame samples into the arrays head_loss_graph's placeholders
+    read, keyed by placeholder name; a row without a label kind has zeros
+    there and a 0 in that kind's row weights (an all-zero one-hot row for
+    expressions). Index every array with the same rows to take a batch."""
     n = len(samples)
-    d = samples[0].features.shape[0]
-    batch = FrameBatch(
-        features=np.zeros((n, d)),
-        va=np.zeros((n, 2)),
-        va_mask=np.zeros(n, dtype=bool),
-        expr=np.full(n, -1, dtype=int),
-        expr_mask=np.zeros(n, dtype=bool),
-        au=np.zeros((n, N_AUS)),
-        au_mask=np.zeros(n, dtype=bool),
-    )
+    arrays = {
+        "features": np.array([s.features for s in samples], dtype=np.float64),
+        "va": np.zeros((n, 2)),
+        "va_rows": np.zeros((n, 1)),
+        "expr_onehot": np.zeros((n, N_EXPRESSIONS)),
+        "au": np.zeros((n, N_AUS)),
+        "au_rows": np.zeros((n, 1)),
+    }
     for i, s in enumerate(samples):
-        batch.features[i] = s.features
         if s.va is not None:
-            batch.va[i] = s.va
-            batch.va_mask[i] = True
+            arrays["va"][i] = s.va
+            arrays["va_rows"][i] = 1.0
         if s.expr is not None:
-            batch.expr[i] = s.expr
-            batch.expr_mask[i] = True
+            arrays["expr_onehot"][i, s.expr] = 1.0
         if s.au is not None:
-            batch.au[i] = s.au
-            batch.au_mask[i] = True
-    return batch
+            arrays["au"][i] = s.au
+            arrays["au_rows"][i] = 1.0
+    return arrays
 
 
 @dataclass
@@ -234,72 +210,69 @@ class HeadLoss:
 TERM_NAMES = ("ccc", "cce", "bce", "coupling")
 
 
-def head_loss_graph(config, batch):
-    """Build the full multi-task objective for one batch.
+def present_terms(batch):
+    """The loss terms a batch of frame_arrays rows can train: concordance
+    needs two valence-arousal rows, the coupling term none."""
+    has = (batch["va_rows"].sum() >= 2, batch["expr_onehot"].any(), batch["au_rows"].any(), True)
+    return tuple(name for name, present in zip(TERM_NAMES, has) if present)
 
-    Returns (Graph, term_nodes, absent) where term_nodes maps present
-    term names to their scalar nodes and `absent` lists skipped terms.
-    `batch` contents become constants, so the graph is specific to this
-    batch; parameters are the only leaves.
+
+def head_loss_graph(config, n, present):
+    """Build the multi-task objective for batches of `n` rows that carry
+    the `present` terms.
+
+    Returns (Graph, term_nodes), term_nodes mapping each present term to
+    its scalar node. The batch is bound at evaluate time through the
+    placeholders named by frame_arrays, so one graph serves every batch
+    with the same key; parameters are the only differentiated leaves.
     """
-    feats = ad.constant(batch.features)
-    out = head_nodes(config, feats)
-    term_nodes = {}
-    absent = []
+    def placeholder(name, width):
+        return ad.placeholder(name, (n, width))
 
-    if int(batch.va_mask.sum()) >= 2:
+    out = head_nodes(config, placeholder("features", config.d_in))
+    term_nodes = {}  # in TERM_NAMES order, the order the total adds them
+    if "ccc" in present:
         term_nodes["ccc"] = weighted_va_ccc_loss_node(
-            out.va, ad.constant(batch.va), batch.va_mask.astype(np.float64)
-        )
-    else:
-        absent.append("ccc")
-
-    if batch.expr_mask.any():
-        onehot = np.zeros((len(batch), N_EXPRESSIONS))
-        rows = np.flatnonzero(batch.expr_mask)
-        onehot[rows, batch.expr[rows]] = 1.0
-        term_nodes["cce"] = cross_entropy_node(out.expr, onehot)
-    else:
-        absent.append("cce")
-
-    if batch.au_mask.any():
+            out.va, placeholder("va", 2), placeholder("va_rows", 1))
+    if "cce" in present:
+        term_nodes["cce"] = cross_entropy_node(out.expr, placeholder("expr_onehot", N_EXPRESSIONS))
+    if "bce" in present:
         term_nodes["bce"] = binary_cross_entropy_node(
-            out.au, batch.au, batch.au_mask.astype(np.float64)
-        )
-    else:
-        absent.append("bce")
-
+            out.au, placeholder("au", N_AUS), placeholder("au_rows", 1))
     # coupling reads predictions only, so it is never absent
     term_nodes["coupling"] = coupling_node(
         out.au, pseudo_au_node(out.expr), two_term=config.two_term_coupling
     )
-
-    total = None
-    for name in TERM_NAMES:
-        node = term_nodes.get(name)
-        if node is not None:
-            total = node if total is None else ad.add(total, node)
-    extra = [ad.param(n, s) for n, s in config.param_shapes().items()]
-    return ad.Graph(total, extra_params=extra), term_nodes, tuple(absent)
+    total = functools.reduce(ad.add, term_nodes.values())
+    extra = [ad.param(name, shape) for name, shape in config.param_shapes().items()]
+    return ad.Graph(total, extra_params=extra), term_nodes
 
 
-def _evaluate_head_loss(batch, params, config):
-    """Build and evaluate one batch's loss graph; returns (graph, HeadLoss)."""
-    graph, term_nodes, absent = head_loss_graph(config, batch)
-    total = float(graph.evaluate(params))
+def _evaluate_head_loss(batch, params, config, graphs):
+    """Evaluate one batch's loss on the graph cached in `graphs` under its
+    (rows, present terms) key, building it on first use; returns
+    (graph, HeadLoss)."""
+    key = (len(batch["features"]), present_terms(batch))
+    if key not in graphs:
+        graphs[key] = head_loss_graph(config, *key)
+    graph, term_nodes = graphs[key]
+    total = float(graph.evaluate({**params, **batch}))
     terms = {name: 0.0 for name in TERM_NAMES}
     for name, node in term_nodes.items():
         terms[name] = float(graph.cached_value(node))
+    absent = tuple(name for name in TERM_NAMES if name not in term_nodes)
     return graph, HeadLoss(total=total, terms=terms, absent=absent)
 
 
-def head_loss(batch, params, config):
-    """Total multi-task loss with per-term breakdown for one batch."""
-    return _evaluate_head_loss(batch, params, config)[1]
+def head_loss(batch, params, config, graphs):
+    """Total multi-task loss with per-term breakdown for one batch of
+    frame_arrays rows; `graphs` is the loss-graph cache of the run."""
+    return _evaluate_head_loss(batch, params, config, graphs)[1]
 
 
-def head_train_step(batch, params, opt_state, lr, config):
-    """One Adam step on the multi-task loss; returns (params, state, loss)."""
-    graph, loss = _evaluate_head_loss(batch, params, config)
+def head_train_step(batch, params, opt_state, lr, config, graphs):
+    """One Adam step on the multi-task loss of a batch of frame_arrays
+    rows; returns (params, state, loss). `graphs` as in head_loss."""
+    graph, loss = _evaluate_head_loss(batch, params, config, graphs)
     new_params, new_state = optim.adam_step(params, graph.backward(), opt_state, lr)
     return new_params, new_state, loss

@@ -10,8 +10,9 @@ byte-for-byte.
 --head-checkpoint takes a head checkpoint; --checkpoint takes an
 aggregator checkpoint for train and an aggregator or joint checkpoint
 for eval. train and ablate check the dataset's t and frame width
-against the config, eval against the checkpoint, and a head's input
-width against the descriptor videos; a mismatch exits 2.
+against the config, eval against the checkpoint, a head's input width
+against the descriptor videos, and the width of affect videos against
+the 26 affect features; a mismatch exits 2.
 
 There is no environment override: the config alone decides a run, so
 the echoed effective_config.json describes all of it.
@@ -215,6 +216,8 @@ def _affect_parts(parts, manifest, head_checkpoint, representation):
             name: training.transform_videos(part, ck.params, head_config)
             for name, part in parts.items()
         }
+    else:
+        _check_dims(manifest, None, FEATURE_DIM, "an affect video dataset")
     if representation != "all":
         parts = {name: data.select_columns(part, representation) for name, part in parts.items()}
     return parts
@@ -279,7 +282,8 @@ def cmd_train(config):
         )
         kind, metric_key = "joint", "val_mean_rho"
     save_checkpoint(out / "checkpoint.json", outcome.params, _checkpoint_config(config), kind)
-    training.write_curve_csv(out / "curve.csv", outcome.history)
+    columns = ["epoch", "train_loss"] + ([] if outcome.best_metric is None else [metric_key])
+    training.write_curve_csv(out / "curve.csv", outcome.history, columns)
     training.write_curve_svg(out / "curve.svg", outcome.history, series=("train_loss", metric_key))
     if outcome.best_metric is None:
         print(f"last epoch {outcome.best_epoch} (empty val split: no validation)")

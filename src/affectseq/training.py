@@ -127,15 +127,20 @@ def train_aggregator(train_samples, val_samples, agg_config, *, epochs, batch_si
 
 
 def train_head(train_samples, val_samples, head_config, *, epochs, batch_size, lr, seed):
+    """`fit` over frame samples: one cached loss graph per (batch size,
+    present terms), tracked by the validation total loss."""
     params = optim.init_params(head_config, seed)
+    rows = head.frame_arrays(train_samples)
+    val = head.frame_arrays(val_samples)
+    graphs = {}
 
     def step(p, state, idx):
-        batch = head.frame_batch([train_samples[i] for i in idx])
-        p, state, loss = head.head_train_step(batch, p, state, lr, head_config)
+        batch = {name: array[idx] for name, array in rows.items()}
+        p, state, loss = head.head_train_step(batch, p, state, lr, head_config, graphs)
         return p, state, loss.total
 
     def validate(p):
-        return head.head_loss(head.frame_batch(val_samples), p, head_config).total
+        return head.head_loss(val, p, head_config, graphs).total
 
     return fit(params, len(train_samples), step, validate, epochs=epochs,
                batch_size=batch_size, seed=seed, metric_key="val_loss",
@@ -201,10 +206,11 @@ def train_joint(train_samples, val_samples, head_config, agg_config, *, epochs, 
 # curve files
 
 
-def write_curve_csv(path, history):
-    cols = list(history[0]) if history else []  # every row has the same keys
-    lines = ["schema_version,1", ",".join(cols)]
-    lines += [",".join(repr(row[c]) for c in cols) for row in history]
+def write_curve_csv(path, history, columns):
+    """The history rows under the stage's `columns`, written even when
+    there are no rows."""
+    lines = ["schema_version,1", ",".join(columns)]
+    lines += [",".join(repr(row[c]) for c in columns) for row in history]
     atomic.write_text(path, "\n".join(lines) + "\n")
 
 

@@ -33,22 +33,28 @@ def _cotangent_sum(node, rng):
 def target_loss_ccc(rng):
     preds = ad.param("preds", (50, 2))
     labels = rng.uniform(-1, 1, size=(50, 2))
-    node = head.weighted_va_ccc_loss_node(preds, ad.constant(labels), np.ones((50, 1)))
-    return ad.Graph(node), {"preds": rng.uniform(-1, 1, size=(50, 2))}
+    node = head.weighted_va_ccc_loss_node(
+        preds, ad.placeholder("labels", (50, 2)), ad.placeholder("rows", (50, 1)))
+    return ad.Graph(node), {
+        "preds": rng.uniform(-1, 1, size=(50, 2)), "labels": labels, "rows": np.ones((50, 1)),
+    }
 
 
 def target_loss_cce(rng):
     logits = ad.param("logits", (15, 7))
     onehot = np.eye(7)[rng.integers(0, 7, size=15)]
-    node = head.cross_entropy_node(ad.softmax(logits), onehot)
-    return ad.Graph(node), {"logits": rng.normal(size=(15, 7))}
+    node = head.cross_entropy_node(ad.softmax(logits), ad.placeholder("onehot", (15, 7)))
+    return ad.Graph(node), {"logits": rng.normal(size=(15, 7)), "onehot": onehot}
 
 
 def target_loss_bce(rng):
     logits = ad.param("logits", (6, 17))
     labels = (rng.uniform(size=(6, 17)) > 0.5).astype(float)
-    node = head.binary_cross_entropy_node(ad.sigmoid(logits), labels, np.ones((6, 1)))
-    return ad.Graph(node), {"logits": rng.normal(size=(6, 17))}
+    node = head.binary_cross_entropy_node(
+        ad.sigmoid(logits), ad.placeholder("labels", (6, 17)), ad.placeholder("rows", (6, 1)))
+    return ad.Graph(node), {
+        "logits": rng.normal(size=(6, 17)), "labels": labels, "rows": np.ones((6, 1)),
+    }
 
 
 def target_loss_dm(rng):
@@ -67,8 +73,9 @@ def target_loss_mma(rng):
 
     config = head.HeadConfig(d_in=6, width=6, n_blocks=1)
     samples, _ = gen_frame_dataset(101, 8, FrameRecipe(d_in=6))
-    graph, _, _ = head.head_loss_graph(config, head.frame_batch(samples))
-    return graph, init_params(config, seed=3)
+    batch = head.frame_arrays(samples)
+    graph, _ = head.head_loss_graph(config, len(samples), head.present_terms(batch))
+    return graph, {**init_params(config, seed=3), **batch}
 
 
 def target_loss_pearson(rng):

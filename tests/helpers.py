@@ -41,7 +41,8 @@ def pearson_loss(preds, labels):
 
 def va_loss(pred, label):
     """The valence-arousal concordance loss with every row labeled."""
-    return scalar(head.weighted_va_ccc_loss_node(const(pred), const(label), np.ones(len(pred))))
+    rows = const(np.ones((len(pred), 1)))
+    return scalar(head.weighted_va_ccc_loss_node(const(pred), const(label), rows))
 
 
 def ccc_flagged(x, y):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from affectseq import affect_head as head
 from affectseq import autodiff as ad
 from affectseq.affect_space import au_index, expression_index, relatedness_matrix
-from affectseq.affect_head import frame_batch
 from affectseq.data import FrameRecipe, gen_frame_dataset
 from affectseq.optim import adam_init, init_params
 from helpers import ccc_flagged, const, coupling_loss, scalar, va_loss
@@ -71,11 +70,12 @@ def concordance(x, y):
 
 def expression_loss(probs, labels):
     onehot = np.eye(np.shape(probs)[1])[labels]
-    return scalar(head.cross_entropy_node(const(probs), onehot))
+    return scalar(head.cross_entropy_node(const(probs), const(onehot)))
 
 
 def au_detection_loss(probs, labels):
-    return scalar(head.binary_cross_entropy_node(const(probs), labels, np.ones(len(probs))))
+    rows = const(np.ones((len(probs), 1)))
+    return scalar(head.binary_cross_entropy_node(const(probs), const(labels), rows))
 
 
 def test_concordance_identity_and_shift():
@@ -204,28 +204,29 @@ def test_coupling_decreases_toward_target_from_below(seed, steps):
 
 def make_batch(n=12, seed=9, mix=(("va", 0.25), ("expr", 0.25), ("au", 0.25), ("all", 0.25))):
     samples, _ = gen_frame_dataset(seed, n, FrameRecipe(d_in=8, label_mix=mix))
-    return frame_batch(samples)
+    return head.frame_arrays(samples)
 
 
 def test_head_loss_total_is_sum_of_terms():
     batch = make_batch()
     params = init_params(CFG, seed=3)
-    result = head.head_loss(batch, params, CFG)
+    result = head.head_loss(batch, params, CFG, {})
     assert result.total == pytest.approx(sum(result.terms.values()), abs=1e-12)
 
 
 def test_head_loss_terms_match_standalone_surfaces():
     batch = make_batch(n=16, seed=10)
     params = init_params(CFG, seed=4)
-    out = head.head_forward(batch.features, params, CFG)
-    result = head.head_loss(batch, params, CFG)
+    out = head.head_forward(batch["features"], params, CFG)
+    result = head.head_loss(batch, params, CFG, {})
 
-    va_rows = batch.va_mask
-    expect_ccc = va_loss(out.va[va_rows], batch.va[va_rows])
-    expr_rows = batch.expr_mask
-    expect_cce = expression_loss(out.expr[expr_rows], batch.expr[expr_rows])
-    au_rows = batch.au_mask
-    expect_bce = au_detection_loss(out.au[au_rows], batch.au[au_rows])
+    va_rows = batch["va_rows"][:, 0] == 1.0
+    expect_ccc = va_loss(out.va[va_rows], batch["va"][va_rows])
+    expr_rows = batch["expr_onehot"].any(axis=1)
+    expr_labels = batch["expr_onehot"][expr_rows].argmax(axis=1)
+    expect_cce = expression_loss(out.expr[expr_rows], expr_labels)
+    au_rows = batch["au_rows"][:, 0] == 1.0
+    expect_bce = au_detection_loss(out.au[au_rows], batch["au"][au_rows])
     expect_coupling = scalar(head.coupling_node(const(out.au), head.pseudo_au_node(const(out.expr))))
 
     assert result.terms["ccc"] == pytest.approx(expect_ccc, abs=1e-12)
@@ -237,7 +238,7 @@ def test_head_loss_terms_match_standalone_surfaces():
 def test_head_loss_flags_absent_terms():
     batch = make_batch(n=10, seed=11, mix=(("au", 1.0),))
     params = init_params(CFG, seed=5)
-    result = head.head_loss(batch, params, CFG)
+    result = head.head_loss(batch, params, CFG, {})
     assert set(result.absent) == {"ccc", "cce"}
     assert result.terms["ccc"] == 0.0
     assert result.terms["cce"] == 0.0
@@ -246,31 +247,33 @@ def test_head_loss_flags_absent_terms():
 
 def test_head_loss_single_va_label_is_skipped():
     batch = make_batch(n=10, seed=12, mix=(("au", 1.0),))
-    batch.va_mask[3] = True  # one labeled sample is not enough for moments
+    batch["va_rows"][3] = 1.0  # one labeled sample is not enough for moments
     params = init_params(CFG, seed=6)
-    result = head.head_loss(batch, params, CFG)
+    result = head.head_loss(batch, params, CFG, {})
     assert "ccc" in result.absent
 
 
 def test_head_train_step_names_the_node_of_a_non_finite_loss():
     batch = make_batch(n=12, seed=14)
-    assert batch.va_mask.sum() >= 2
-    batch.va[batch.va_mask] = 1e200  # the concordance loss squares 1e200
+    va_rows = batch["va_rows"][:, 0] == 1.0
+    assert va_rows.sum() >= 2
+    batch["va"][va_rows] = 1e200  # the concordance loss squares 1e200
     params = init_params(CFG, seed=8)
     with pytest.raises(ad.GraphError, match=r"^non-finite value in node 'mul#\d+' at flat index"):
-        head.head_train_step(batch, params, adam_init(params), 1e-3, CFG)
+        head.head_train_step(batch, params, adam_init(params), 1e-3, CFG, {})
 
 
 def test_all_loss_terms_pass_grad_check():
     batch = make_batch(n=10, seed=13)
-    graph, term_nodes, _ = head.head_loss_graph(CFG, batch)
+    graph, term_nodes = head.head_loss_graph(CFG, 10, head.present_terms(batch))
     params = init_params(CFG, seed=7)
-    report = ad.grad_check(graph, params, epsilon=1e-6, n_coords=120, seed=0)
+    bindings = {**params, **batch}
+    report = ad.grad_check(graph, bindings, epsilon=1e-6, n_coords=120, seed=0)
     assert report.max_rel_error < 1e-4, report.per_param_max()
     # each term alone must also check out
     for name, node in term_nodes.items():
         g = ad.Graph(node, extra_params=[ad.param(n, s) for n, s in CFG.param_shapes().items()])
-        r = ad.grad_check(g, params, epsilon=1e-6, n_coords=60, seed=1)
+        r = ad.grad_check(g, bindings, epsilon=1e-6, n_coords=60, seed=1)
         assert r.max_rel_error < 1e-4, (name, r.per_param_max())
 
 
@@ -282,7 +285,7 @@ def test_train_step_zero_lr_keeps_params():
     batch = make_batch()
     params = init_params(CFG, seed=8)
     state = adam_init(params)
-    new_params, _, _ = head.head_train_step(batch, params, state, 0.0, CFG)
+    new_params, _, _ = head.head_train_step(batch, params, state, 0.0, CFG, {})
     for name in params:
         np.testing.assert_array_equal(new_params[name], params[name])
 
@@ -293,7 +296,7 @@ def test_train_step_deterministic():
     outs = []
     for _ in range(2):
         state = adam_init(params)
-        p, _, loss = head.head_train_step(batch, params, state, 1e-3, CFG)
+        p, _, loss = head.head_train_step(batch, params, state, 1e-3, CFG, {})
         outs.append((p, loss.total))
     assert outs[0][1] == outs[1][1]
     for name in params:
@@ -302,16 +305,82 @@ def test_train_step_deterministic():
 
 def test_training_halves_loss_on_fully_labeled_set():
     samples, _ = gen_frame_dataset(21, 64, FrameRecipe(d_in=16, noise=0.05))
-    batch = frame_batch(samples)
+    batch = head.frame_arrays(samples)
     config = head.HeadConfig(d_in=16, width=16, n_blocks=2)
     params = init_params(config, seed=0)
     state = adam_init(params)
-    first = None
+    first, graphs = None, {}
     for _ in range(500):
-        params, state, loss = head.head_train_step(batch, params, state, 3e-3, config)
+        params, state, loss = head.head_train_step(batch, params, state, 3e-3, config, graphs)
         if first is None:
             first = loss.total
     assert loss.total <= 0.5 * first, (first, loss.total)
+
+
+def _take(arrays, idx):
+    return {name: array[idx].copy() for name, array in arrays.items()}
+
+
+def _changing_batches():
+    """A full batch, a short last batch, an AU-only batch, an AU-only batch
+    with one va label, then the full batch again: the (rows, present terms)
+    key changes and recurs, and two batches share a key with other data."""
+    rows = make_batch(n=40, seed=15)
+    au_only = make_batch(n=16, seed=16, mix=(("au", 1.0),))
+    one_va = make_batch(n=16, seed=17, mix=(("au", 1.0),))
+    one_va["va"][3] = (0.25, -0.5)
+    one_va["va_rows"][3] = 1.0
+    full = _take(rows, np.arange(16))
+    return [full, _take(rows, np.arange(16, 32)), _take(rows, np.arange(32, 40)), au_only,
+            one_va, full]
+
+
+def test_cached_loss_graphs_match_a_fresh_graph_per_batch():
+    batches = _changing_batches()
+    keys = [(len(b["features"]), head.present_terms(b)) for b in batches]
+    assert keys[0] == keys[1] == keys[5] and keys[3] == keys[4]
+    assert keys[2][0] == 8 and "ccc" not in keys[4][1]
+    shared = {}
+    runs = []
+    for graphs in (lambda: shared, dict):  # one cache, then a fresh one per batch
+        params = init_params(CFG, seed=10)
+        state = adam_init(params)
+        trail = []
+        for batch in batches:
+            params, state, loss = head.head_train_step(batch, params, state, 1e-2, CFG, graphs())
+            trail.append((loss, {k: v.tobytes() for k, v in params.items()}))
+        runs.append(trail)
+    assert sorted(shared) == sorted(set(keys))
+    for (cached, cached_params), (fresh, fresh_params) in zip(*runs):
+        assert cached.total.hex() == fresh.total.hex()
+        assert {k: v.hex() for k, v in cached.terms.items()} == {
+            k: v.hex() for k, v in fresh.terms.items()}
+        assert cached.absent == fresh.absent
+        assert cached_params == fresh_params
+
+
+def test_train_head_builds_one_graph_per_key(monkeypatch):
+    from affectseq import training
+
+    samples, _ = gen_frame_dataset(18, 45, FrameRecipe(d_in=8, label_mix=(
+        ("va", 0.15), ("expr", 0.15), ("au", 0.7))))
+    train, val = samples[:37], samples[37:]
+    built = []
+    real = head.head_loss_graph
+
+    def counting(config, n, present):
+        built.append((n, present))
+        return real(config, n, present)
+
+    monkeypatch.setattr(head, "head_loss_graph", counting)
+    training.train_head(train, val, CFG, epochs=3, batch_size=8, lr=1e-3, seed=2)
+    rows, rng = head.frame_arrays(train), np.random.default_rng(2)
+    keys = {(len(val), head.present_terms(head.frame_arrays(val)))}
+    for _ in range(3):
+        for idx in training._epoch_batches(len(train), 8, rng):
+            keys.add((len(idx), head.present_terms(_take(rows, idx))))
+    assert sorted(built) == sorted(keys)
+    assert len(keys) >= 4, keys
 
 
 def test_golden_forward_seed42():

@@ -9,7 +9,6 @@ from affectseq import affect_head as head
 from affectseq import aggregator as agg
 from affectseq import autodiff as ad
 from affectseq import verification
-from affectseq.affect_head import frame_batch
 from affectseq.data import FrameRecipe, gen_frame_dataset
 from affectseq.optim import init_params
 from helpers import dict_backward, dict_evaluate, full_grad_check, gru_backward_oracle
@@ -398,8 +397,9 @@ def _head_loss_case():
     config = head.HeadConfig(d_in=8, width=8, n_blocks=2)
     mix = (("va", 0.3), ("expr", 0.2), ("au", 0.3), ("all", 0.2))
     samples, _ = gen_frame_dataset(31, 12, FrameRecipe(d_in=8, label_mix=mix))
-    graph, _, _ = head.head_loss_graph(config, frame_batch(samples))
-    return graph, init_params(config, seed=6)
+    batch = head.frame_arrays(samples)
+    graph, _ = head.head_loss_graph(config, len(samples), head.present_terms(batch))
+    return graph, {**init_params(config, seed=6), **batch}
 
 
 PLAN_CASES = [*verification.TARGETS, "desk_masked", "desk_unmasked", "desk_joint", "head_loss"]

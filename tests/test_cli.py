@@ -5,14 +5,14 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affectseq import autodiff as ad
-from affectseq import cli
+from affectseq import cli, data
 from affectseq.checkpoint import load_checkpoint, save_checkpoint
 from affectseq.config import RunConfig
 from helpers import read_checkpoint, read_dataset, write_checkpoint, write_dataset
@@ -683,7 +683,13 @@ def mismatch_runs(tmp_path_factory):
         "frames8": root / "frames8" / "frames.jsonl",
         "desc8": root / "desc8" / "videos.jsonl",
         "aff8": root / "aff8" / "videos.jsonl",
+        "narrow8": root / "narrow8" / "videos.jsonl",
     }
+    # the first 10 columns of aff8: every affect invariant still holds
+    samples, manifest = data.load_dataset(paths["aff8"])
+    narrow = [replace(s, frames=s.frames[:, :10]) for s in samples]
+    paths["narrow8"].parent.mkdir()
+    data.save_dataset(paths["narrow8"], narrow, replace(manifest, d=10))
     for name, command in (
         ("head4", ("--stage", "mma", "--dataset", str(root / "frames4" / "frames.jsonl"),
                    "--d-in", "4")),
@@ -741,6 +747,15 @@ MISMATCH_CASES = {
     "ablate-config-t": (
         "ablate --dataset {aff8} --t 16",
         ("config expects t 16", "dataset has t 8")),
+    "train-frozen-affect-width": (
+        "train --dataset {narrow8} --t 8",
+        ("an affect video dataset expects frame width 26", "dataset has frame width 10")),
+    "train-frozen-affect-width-va-columns": (
+        "train --dataset {narrow8} --t 8 --representation va",
+        ("an affect video dataset expects frame width 26", "dataset has frame width 10")),
+    "eval-affect-width": (
+        "eval --dataset {narrow8} --checkpoint {agg8}",
+        ("an affect video dataset expects frame width 26", "dataset has frame width 10")),
 }
 
 
@@ -942,6 +957,19 @@ def test_empty_val_split_trains_without_validation(mismatch_runs, tmp_path, caps
     assert (out / "curve.csv").read_text().splitlines()[1] == "epoch,train_loss"
     for path, text in _stored_text(out):
         assert b"nan" not in text.lower(), path
+
+
+@pytest.mark.parametrize("template, columns", [
+    ("train --stage mma --dataset {frames8} --d-in 8", "epoch,train_loss,val_loss"),
+    ("train --dataset {aff8} --t 8", "epoch,train_loss,val_mean_rho"),
+    ("train --stage end-to-end --dataset {desc8} --t 8 --d-in 8", "epoch,train_loss,val_mean_rho"),
+    ("train --dataset {aff8} --t 8 --fractions 1,0,0", "epoch,train_loss"),
+], ids=["mma", "frozen", "end-to-end", "frozen-no-val"])
+def test_zero_epoch_curve_names_the_stage_columns(mismatch_runs, tmp_path, template, columns):
+    command, *argv = template.format(**mismatch_runs).split()
+    out = tmp_path / "out"
+    assert run(command, *SMALL, *argv, "--epochs", "0", "--out", str(out)) == 0
+    assert (out / "curve.csv").read_text() == f"schema_version,1\n{columns}\n"
 
 
 # A grid over the split fractions and batch size of train, eval and

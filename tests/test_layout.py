@@ -9,8 +9,9 @@ attribute, somewhere in src/ or perfbench/.
 
 The graph engine's rule tables are subscripted at one place each,
 stored arrays are read in one module, `codec`, with no text encoding,
-each loader reads its file's arrays with one call, and the video
-generator's per-frame loop makes no numpy call.
+each loader reads its file's arrays with one call, the video
+generator's per-frame loop makes no numpy call, and neither do the head's
+loss graph builders.
 """
 
 import ast
@@ -151,3 +152,18 @@ def test_trajectory_loop_makes_no_numpy_call():
              if isinstance(call, ast.Call)
              and {"np", "rng"} & {n.id for n in ast.walk(call.func) if isinstance(n, ast.Name)}]
     assert not calls, "numpy call inside the per-frame loop: " + ", ".join(calls)
+
+
+def test_head_loss_builders_make_no_numpy_call():
+    # the head's loss graphs are cached per (batch size, present terms) and
+    # the batch is bound through placeholders; a numpy call while building
+    # would bake one batch's data into a graph that serves many
+    tree = ast.parse((PACKAGE / "affect_head.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builders = ("weighted_va_ccc_loss_node", "cross_entropy_node", "binary_cross_entropy_node",
+                "head_loss_graph")
+    calls = [f"{name} line {call.lineno}: {ast.unparse(call.func)}"
+             for name in builders for call in ast.walk(funcs[name])
+             if isinstance(call, ast.Call)
+             and "np" in {n.id for n in ast.walk(call.func) if isinstance(n, ast.Name)}]
+    assert not calls, "numpy call in a head loss builder: " + ", ".join(calls)

@@ -228,7 +228,7 @@ def test_curve_files(tmp_path):
         {"epoch": 2, "train_loss": 0.5, "val_mean_rho": 0.4},
     ]
     csv_path = tmp_path / "curve.csv"
-    training.write_curve_csv(csv_path, history)
+    training.write_curve_csv(csv_path, history, list(history[0]))
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "schema_version,1"
     assert lines[1] == "epoch,train_loss,val_mean_rho"
