@@ -23,9 +23,10 @@ them. Values and saved state both live on the Graph, never on a Node.
 `Graph.__init__` compiles the topological order into a slot plan: one
 entry per node with its kind (const, leaf or op), its parents' slot
 indices and its forward and backward rules, looked up there and nowhere
-else. One forward loop runs any list of slots under a single
-`np.errstate`; `evaluate` runs it over every slot, and `backward` keeps
-its gradients in a slot list, visiting slots in reverse. `grad_check`
+else, and marks each slot that a parameter reaches. One forward loop
+runs any list of slots under a single `np.errstate`; `evaluate` runs it
+over every slot, and `backward` sends gradient in reverse only into
+marked slots, summing a broadcast gradient down at one site. `grad_check`
 runs the same loop over only the slots downstream of the perturbed
 parameter, on a copy of the cached values: the same ops on the same
 inputs as a full evaluate, so its records are unchanged and the cache
@@ -441,7 +442,8 @@ _SAVES_STATE = {"gru"}
 
 
 # ---------------------------------------------------------------------------
-# backward rules; each returns one gradient per parent
+# backward rules; each returns one gradient per parent, of the parent's
+# shape except that add, sub, mul and div return the output's
 
 
 def _unbroadcast(grad, shape):
@@ -509,22 +511,10 @@ def _bw_concat(node, g, *parts):
 
 
 _BACKWARD = {
-    "add": lambda n, g, a, b: (
-        _unbroadcast(g, a.shape),
-        _unbroadcast(g, b.shape),
-    ),
-    "sub": lambda n, g, a, b: (
-        _unbroadcast(g, a.shape),
-        _unbroadcast(-g, b.shape),
-    ),
-    "mul": lambda n, g, a, b: (
-        _unbroadcast(g * b, a.shape),
-        _unbroadcast(g * a, b.shape),
-    ),
-    "div": lambda n, g, a, b: (
-        _unbroadcast(g / b, a.shape),
-        _unbroadcast(-g * a / (b * b), b.shape),
-    ),
+    "add": lambda n, g, a, b: (g, g),
+    "sub": lambda n, g, a, b: (g, -g),
+    "mul": lambda n, g, a, b: (g * b, g * a),
+    "div": lambda n, g, a, b: (g / b, -g * a / (b * b)),
     "matmul": _bw_matmul,
     "tanh": lambda n, g, x, y: (g * (1.0 - y * y),),
     "sigmoid": lambda n, g, x, y: (g * y * (1.0 - y),),
@@ -542,9 +532,6 @@ _BACKWARD = {
 
 # ops whose backward rule reads the cached output, not just the inputs
 _NEEDS_OUTPUT = {"tanh", "sigmoid", "softmax", "sqrt"}
-
-# ops backward does not pass through: the leaves, and the gradient-free flag
-_NO_BACKWARD = {"param", "input", "const", "constant_columns"}
 
 # slot kinds of the compiled plan; every op not listed is an _OP
 _CONST, _LEAF, _OP = "const", "leaf", "op"
@@ -588,14 +575,18 @@ class Graph:
         for p in extra_params:
             self.params.setdefault(p.name, p)
         # one entry per node of `order`: (node, kind, parent slots,
-        # forward rule, backward rule); the root is the last slot
-        self._slot, self._plan = {}, []
+        # forward rule, backward rule); the root is the last slot. A slot
+        # is needed when a parameter reaches it through ops with a rule
+        self._slot, self._plan, self._needed = {}, [], []
         for node in self.order:
             op = node.op
             kind = _KINDS.get(op, _OP)
-            self._plan.append((node, kind, tuple([self._slot[id(p)] for p in node.parents]),
-                               _FORWARD[op] if kind is _OP else None,
-                               None if op in _NO_BACKWARD else _BACKWARD[op]))
+            parents = tuple([self._slot[id(p)] for p in node.parents])
+            forward = _FORWARD[op] if kind is _OP else None
+            backward = _BACKWARD[op] if op in _BACKWARD else None
+            self._plan.append((node, kind, parents, forward, backward))
+            self._needed.append(op == "param" or (
+                backward is not None and any(self._needed[i] for i in parents)))
             self._slot[id(node)] = len(self._slot)
         self._values = None
         self._saved = None
@@ -660,18 +651,20 @@ class Graph:
     def backward(self):
         """Gradient of the scalar root w.r.t. every parameter leaf.
 
-        Visits nodes in exact reverse topological order; parameters the
-        root never reads come back as exactly-zero arrays.
+        Visits nodes in exact reverse topological order, sending gradient
+        only into slots a parameter reaches, and sums a broadcast gradient
+        down to its parent's shape here alone. Parameters the root never
+        reads come back as exactly-zero arrays.
         """
         if self._values is None:
             raise GraphError("backward called before evaluate")
         if self.root.shape != ():
             raise GraphError(f"root must be scalar, has shape {self.root.shape}")
-        values, saved = self._values, self._saved
-        grads = [None] * len(self._plan)
-        grads[-1] = np.ones((), dtype=np.float64)
-        for k in range(len(self._plan) - 1, -1, -1):
-            node, _, parents, _, backward = self._plan[k]
+        values, saved, plan, needed = self._values, self._saved, self._plan, self._needed
+        grads = [None] * len(plan)
+        grads[-1] = np.ones((), dtype=np.float64) if needed[-1] else None
+        for k in range(len(plan) - 1, -1, -1):
+            node, _, parents, _, backward = plan[k]
             g = grads[k]
             if backward is None or g is None:
                 continue
@@ -682,7 +675,10 @@ class Graph:
             if node.op in _SAVES_STATE:
                 args.append(saved[k])
             for i, pg in zip(parents, backward(node, g, *args)):
-                grads[i] = pg if grads[i] is None else grads[i] + pg
+                if needed[i]:
+                    shape = plan[i][0].shape
+                    pg = pg if pg.shape == shape else _unbroadcast(pg, shape)
+                    grads[i] = pg if grads[i] is None else grads[i] + pg
         out = {}
         for name, p in self.params.items():
             k = self._slot.get(id(p))

@@ -213,17 +213,17 @@ TARGETS = {
 }
 
 
-def run_all(epsilon=EPSILON, n_coords=N_COORDS, seed=0, threshold=THRESHOLD):
-    """Run every target; returns (reports, failures, elapsed seconds)."""
+def run_all(epsilon=EPSILON):
+    """Run every target at seed 0; returns (reports, failures, elapsed seconds)."""
     reports = {}
     failures = []
     started = time.perf_counter()
     for name, builder in TARGETS.items():
-        rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
+        rng = np.random.default_rng(zlib.crc32(name.encode()) % 1000)
         graph, bindings = builder(rng)
-        report = ad.grad_check(graph, bindings, epsilon=epsilon, n_coords=n_coords, seed=seed)
+        report = ad.grad_check(graph, bindings, epsilon=epsilon, n_coords=N_COORDS, seed=0)
         reports[name] = report
-        if not report.passed(threshold):
-            offenders = [p for p, e in report.per_param_max().items() if e >= threshold]
+        if not report.passed(THRESHOLD):
+            offenders = [p for p, e in report.per_param_max().items() if e >= THRESHOLD]
             failures.append((name, report.max_rel_error, offenders))
     return reports, failures, time.perf_counter() - started

@@ -174,7 +174,7 @@ def dict_backward(graph, values, saved):
     accumulated in an id-keyed dict in reverse topological order."""
     grads = {id(graph.root): np.ones((), dtype=np.float64)}
     for node in reversed(graph.order):
-        if node.op in ad._NO_BACKWARD:
+        if node.op not in ad._BACKWARD:
             continue
         g = grads.pop(id(node), None)
         if g is None:
@@ -185,7 +185,7 @@ def dict_backward(graph, values, saved):
         if node.op in ad._SAVES_STATE:
             args.append(saved[id(node)])
         for p, pg in zip(node.parents, ad._BACKWARD[node.op](node, g, *args)):
-            key = id(p)
+            key, pg = id(p), ad._unbroadcast(pg, p.shape)
             grads[key] = grads[key] + pg if key in grads else pg
     return {name: grads.get(id(p), np.zeros(p.shape)) for name, p in graph.params.items()}
 

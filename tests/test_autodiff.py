@@ -427,6 +427,29 @@ def test_plan_matches_id_keyed_engine(name):
         np.testing.assert_array_equal(got[key], want[key])
 
 
+@pytest.mark.parametrize("name", ["desk_masked", "head_loss"])
+def test_no_rule_runs_where_no_parameter_reaches(name, monkeypatch):
+    # the plan looks its rules up when the graph is built, so wrap them first
+    ran = []
+    for op, rule in list(ad._BACKWARD.items()):
+        def logged(node, *args, rule=rule):
+            ran.append(node)
+            return rule(node, *args)
+        monkeypatch.setitem(ad._BACKWARD, op, logged)
+    graph, bindings = _plan_case(name)
+    inputs = {node.name for node in graph.order if node.op == "input"}
+    assert name != "head_loss" or {"va", "expr_onehot", "au"} <= inputs  # all four terms
+    graph.evaluate(bindings)
+    graph.backward()
+    reached = set()  # a param, or read from one other than through the gradient-free flag
+    for node in graph.order:
+        if node.op == "param" or (node.op != "constant_columns"
+                                  and any(id(p) in reached for p in node.parents)):
+            reached.add(id(node))
+    unreached = [node.name for node in ran if id(node) not in reached]
+    assert ran and not unreached, f"rules ran where no parameter reaches: {unreached}"
+
+
 @pytest.mark.parametrize("name", list(verification.TARGETS))
 def test_downstream_grad_check_matches_full_reevaluation(name):
     graph, bindings = _target_case(name)

@@ -8,10 +8,10 @@ every attribute a method stores on `self` must be read, as an
 attribute, somewhere in src/ or perfbench/.
 
 The graph engine's rule tables are subscripted at one place each,
-stored arrays are read in one module, `codec`, with no text encoding,
-each loader reads its file's arrays with one call, the video
-generator's per-frame loop makes no numpy call, and neither do the head's
-loss graph builders.
+broadcast gradients are summed down at one place, stored arrays are
+read in one module, `codec`, with no text encoding, each loader reads
+its file's arrays with one call, the video generator's per-frame loop
+makes no numpy call, and neither do the head's loss graph builders.
 """
 
 import ast
@@ -92,6 +92,15 @@ def test_rule_tables_have_one_dispatch_point():
                           if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name))
     assert subscripted["_FORWARD"] == 1
     assert subscripted["_BACKWARD"] == 1
+
+
+def test_broadcast_gradients_are_summed_at_one_place():
+    # the elementwise rules return gradients of the output's shape and
+    # backward sums one down only where its parent's shape differs
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_unbroadcast"]
+    assert len(calls) == 1, f"_unbroadcast called at lines {calls}"
 
 
 def test_stored_arrays_have_one_reader():
