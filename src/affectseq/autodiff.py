@@ -26,11 +26,20 @@ indices and its forward and backward rules, looked up there and nowhere
 else, and marks each slot that a parameter reaches. One forward loop
 runs any list of slots under a single `np.errstate`; `evaluate` runs it
 over every slot, and `backward` sends gradient in reverse only into
-marked slots, summing a broadcast gradient down at one site. `grad_check`
-runs the same loop over only the slots downstream of the perturbed
-parameter, on a copy of the cached values: the same ops on the same
-inputs as a full evaluate, so its records are unchanged and the cache
-still holds the unperturbed pass.
+marked slots, summing a broadcast gradient down at one site. A `gru`
+slot whose input no parameter reaches skips that input's gradient.
+
+`grad_check` binds all of one parameter's perturbed copies as one
+stack with a leading trial axis, +epsilon then -epsilon per sampled
+coordinate, and runs the same forward loop once over only the slots
+downstream of that parameter, on a copy of the cached values. Every
+forward rule counts its axes from the end, and the loop views a stacked
+operand as (K,) + (1,) * (rank gap) + shape, so each trial broadcasts
+against the unstacked operands exactly as a lone trial would: every
+trial's root comes out bit-identical to a full evaluate of that trial,
+and the cache still holds the unperturbed pass. A stack that meets a
+non-finite value is run again one trial at a time, so the error names
+the node, index and step of the first failing trial.
 
 Cycles cannot be constructed: a node's parents are fixed at creation,
 so every expression is a DAG by construction.
@@ -38,7 +47,9 @@ so every expression is a DAG by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,28 +191,33 @@ def sqrt(a, name=None):
     return Node("sqrt", a.shape, (a,), name=name)
 
 
-def _reduced_shape(a, axis, op):
+def _reduction(op, operands, axis, name=None):
+    """A node reducing its same-shaped operands over `axis` (0 or 1), or
+    over every entry when `axis` is None. The node keeps the reduced axes
+    as a tuple counted from the end, so a leading trial axis survives."""
+    shape = operands[0].shape
+    rank = len(shape)
     if axis is None:
-        return ()
-    if len(a.shape) == 0 or axis not in (0, 1) or axis >= len(a.shape):
-        raise GraphError(f"{op}: axis {axis} invalid for shape {a.shape}")
-    return tuple(s for i, s in enumerate(a.shape) if i != axis)
+        axes = tuple(range(-rank, 0))
+    elif rank == 0 or axis not in (0, 1) or axis >= rank:
+        raise GraphError(f"{op}: axis {axis} invalid for shape {shape}")
+    else:
+        axes = (axis - rank,)
+    reduced = tuple(s for i, s in enumerate(shape) if i - rank not in axes)
+    return Node(op, reduced, operands, name=name, axis=axes)
 
 
 def reduce_sum(a, axis=None):
-    a = _lift(a)
-    return Node("sum", _reduced_shape(a, axis, "sum"), (a,), axis=axis)
+    return _reduction("sum", (_lift(a),), axis)
 
 
 def reduce_mean(a, axis=None, name=None):
-    a = _lift(a)
-    return Node("mean", _reduced_shape(a, axis, "mean"), (a,), name=name, axis=axis)
+    return _reduction("mean", (_lift(a),), axis, name)
 
 
 def variance(a, axis=None, name=None):
     """Population variance (1/n) along `axis`, or over all entries."""
-    a = _lift(a)
-    return Node("variance", _reduced_shape(a, axis, "variance"), (a,), name=name, axis=axis)
+    return _reduction("variance", (_lift(a),), axis, name)
 
 
 def covariance(a, b, axis=None, name=None):
@@ -209,8 +225,7 @@ def covariance(a, b, axis=None, name=None):
     a, b = _lift(a), _lift(b)
     if a.shape != b.shape:
         raise GraphError(f"covariance: shapes {a.shape} != {b.shape}")
-    return Node("covariance", _reduced_shape(a, axis, "covariance"), (a, b), name=name,
-                axis=axis)
+    return _reduction("covariance", (a, b), axis, name)
 
 
 def constant_columns(a, b, name=None):
@@ -230,8 +245,9 @@ def concat(nodes, axis=0):
     if not nodes:
         raise GraphError("concat: no operands")
     base = nodes[0].shape
-    if any(len(n.shape) != len(base) or len(base) <= axis for n in nodes):
+    if not -len(base) <= axis < len(base) or any(len(n.shape) != len(base) for n in nodes):
         raise GraphError(f"concat: inconsistent ranks at axis {axis}")
+    axis %= len(base)
     for n in nodes[1:]:
         for i, (x, y) in enumerate(zip(base, n.shape)):
             if i != axis and x != y:
@@ -240,7 +256,8 @@ def concat(nodes, axis=0):
                 )
     shape = list(base)
     shape[axis] = sum(n.shape[axis] for n in nodes)
-    return Node("concat", shape, nodes, axis=axis)
+    # counted from the end, so a leading trial axis survives
+    return Node("concat", shape, nodes, axis=axis - len(base))
 
 
 def affine(x, w, b, name=None):
@@ -322,18 +339,26 @@ def np_gru(x, weights, t, name="gru"):
     recurrence. Since sigmoid and tanh hide an overflowed pre-activation,
     all three are checked once after the loop. Returns ((b, t*H) states,
     state saved for np_gru_backward).
+
+    `x` and any weight may carry a leading trial axis of K independent
+    runs, as grad_check stacks them: (K, b, t*d), (K, d, H), (K, H, H),
+    and (K, 1, H) for a bias, whose rows broadcast over the batch. The
+    states are then (K, b, t*H), each trial bit-identical to its own run.
     """
     wz, uz, bz, wr, ur, br, wh, uh, bh = weights
-    b, hid = x.shape[0], uz.shape[0]
-    d = x.shape[1] // t
-    xs = np.ascontiguousarray(x.reshape(b, t, d).transpose(1, 0, 2))  # (t, b, d)
-    pre = np.empty((3, t, b, hid))  # pre-activations of u, r, c
+    lead = max((a.shape[:-2] for a in (x, *weights)), key=len)  # () or (K,)
+    b, hid = x.shape[-2], uz.shape[-1]
+    d = x.shape[-1] // t
+    # (t, *lead, b, d), steps outermost; a trial axis x lacks stays 1 and broadcasts
+    xs = x.reshape((1,) * (len(lead) + 2 - x.ndim) + x.shape[:-1] + (t, d))
+    xs = np.ascontiguousarray(xs.transpose(xs.ndim - 2, *range(xs.ndim - 2), xs.ndim - 1))
+    pre = np.empty((3, t) + lead + (b, hid))  # pre-activations of u, r, c
     for i, w in enumerate((wz, wr, wh)):
         np.matmul(xs, w, out=pre[i])
-    gates = np.empty((2, t, b, hid))  # u, r
-    cand = np.empty((t, b, hid))
-    rh = np.empty((t, b, hid))
-    hs = np.zeros((t + 1, b, hid))  # hs[k] is the state entering step k
+    gates = np.empty((2, t) + lead + (b, hid))  # u, r
+    cand = np.empty((t,) + lead + (b, hid))
+    rh = np.empty((t,) + lead + (b, hid))
+    hs = np.zeros((t + 1,) + lead + (b, hid))  # hs[k] is the state entering step k
     for k in range(t):
         h = hs[k]
         pre[0, k] += h @ uz
@@ -346,16 +371,20 @@ def np_gru(x, weights, t, name="gru"):
         pre[2, k] += bh
         c = np.tanh(pre[2, k], out=cand[k])
         hs[k + 1] = (1.0 - u) * h + u * c
-    bad = ~np.isfinite(pre).all(axis=(0, 2, 3))
+    bad = ~np.isfinite(pre).all(axis=(0, *range(2, pre.ndim)))
     if bad.any():
         raise GraphError(f"non-finite pre-activation in {name} step {int(np.argmax(bad))}")
-    out = hs[1:].transpose(1, 0, 2).reshape(b, t * hid)
+    # C order even at H=1, where the reshape alone would be a strided view
+    # whose reductions run in another order with and without a trial axis
+    states = hs[1:].transpose(*range(1, hs.ndim - 1), 0, hs.ndim - 1)  # (*lead, b, t, H)
+    out = np.ascontiguousarray(states.reshape(lead + (b, t * hid)))
     return out, (xs, hs, gates, cand, rh)
 
 
-def np_gru_backward(g, weights, saved):
+def np_gru_backward(g, weights, saved, need_x=True):
     """Backpropagation through time for np_gru; gradients in the order
-    (x, *GRU_WEIGHTS)."""
+    (x, *GRU_WEIGHTS). Without `need_x` the input's gradient is None:
+    its (t*b, 3H) @ (3H, d) product is skipped."""
     xs, hs, gates, cand, rh = saved
     wz, uz, _, wr, ur, _, wh, uh, _ = weights
     t, b, d = xs.shape
@@ -384,9 +413,12 @@ def np_gru_backward(g, weights, saved):
     du_zr = hs[:t].reshape(t * b, hid).T @ flat[:, :2 * hid]
     duh = rh.reshape(t * b, hid).T @ flat[:, 2 * hid:]
     db = flat.sum(axis=0)
-    dx = (flat @ np.concatenate([wz, wr, wh], axis=1).T).reshape(t, b, d).transpose(1, 0, 2)
+    dx = None
+    if need_x:
+        dx = (flat @ np.concatenate([wz, wr, wh], axis=1).T).reshape(t, b, d).transpose(1, 0, 2)
+        dx = dx.reshape(b, t * d)
     gz, gr, gc = slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, None)
-    return (dx.reshape(b, t * d), dw[:, gz], du_zr[:, gz], db[gz], dw[:, gr], du_zr[:, gr], db[gr],
+    return (dx, dw[:, gz], du_zr[:, gz], db[gz], dw[:, gr], du_zr[:, gr], db[gr],
             dw[:, gc], duh, db[gc])
 
 
@@ -394,9 +426,9 @@ def _fw_gru(node, x, *weights):
     return np_gru(x, weights, node.attrs["t"], node.name)
 
 
-def _bw_gru(node, g, x, *rest):
+def _bw_gru(node, g, x, *rest, need_x=True):
     # rest: the weights, then the saved state
-    return np_gru_backward(g, rest[:-1], rest[-1])
+    return np_gru_backward(g, rest[:-1], rest[-1], need_x)
 
 
 def _fw_log(node, x):
@@ -405,7 +437,14 @@ def _fw_log(node, x):
 
 
 def _centered(x, axis):
-    return x - np.mean(x, axis=axis, keepdims=axis is not None)
+    return x - np.mean(x, axis=axis, keepdims=True)
+
+
+def _fw_concat(node, *parts):
+    lead = max((p.shape[:p.ndim - len(q.shape)] for p, q in zip(parts, node.parents)), key=len)
+    if lead:  # a part without the leading trial axis is broadcast to it
+        parts = [np.broadcast_to(p, lead + q.shape) for p, q in zip(parts, node.parents)]
+    return np.concatenate(parts, axis=node.attrs["axis"])
 
 
 _FORWARD = {
@@ -429,10 +468,10 @@ _FORWARD = {
         axis=n.attrs["axis"],
     ),
     "constant_columns": lambda n, a, b: (
-        np.all(a == a[0], axis=0) | np.all(b == b[0], axis=0)
+        np.all(a == a[..., :1, :], axis=-2) | np.all(b == b[..., :1, :], axis=-2)
     ).astype(np.float64),
-    "concat": lambda n, *parts: np.concatenate(parts, axis=n.attrs["axis"]),
-    "reshape": lambda n, a: a.reshape(n.shape),
+    "concat": _fw_concat,
+    "reshape": lambda n, a: a.reshape(a.shape[:a.ndim - len(n.parents[0].shape)] + n.shape),
     "gru": _fw_gru,
 }
 
@@ -475,10 +514,13 @@ def _bw_log(node, g, x):
 
 
 def _expand(g, axis, shape):
-    """Broadcast a reduced gradient back over the reduced axis."""
-    if axis is None:
-        return np.broadcast_to(g, shape)
+    """Broadcast a reduced gradient back over the reduced axes."""
     return np.broadcast_to(np.expand_dims(g, axis), shape)
+
+
+def _count(x, axis):
+    """How many entries of `x` each reduced value covers."""
+    return math.prod(x.shape[i] for i in axis)
 
 
 def _bw_reduce_sum(node, g, x):
@@ -487,19 +529,17 @@ def _bw_reduce_sum(node, g, x):
 
 def _bw_reduce_mean(node, g, x):
     axis = node.attrs["axis"]
-    n = x.size if axis is None else x.shape[axis]
-    return (_expand(g, axis, x.shape) / n,)
+    return (_expand(g, axis, x.shape) / _count(x, axis),)
 
 
 def _bw_variance(node, g, x):
     axis = node.attrs["axis"]
-    n = x.size if axis is None else x.shape[axis]
-    return (_expand(g, axis, x.shape) * 2.0 * _centered(x, axis) / n,)
+    return (_expand(g, axis, x.shape) * 2.0 * _centered(x, axis) / _count(x, axis),)
 
 
 def _bw_covariance(node, g, x, y):
     axis = node.attrs["axis"]
-    n = x.size if axis is None else x.shape[axis]
+    n = _count(x, axis)
     ge = _expand(g, axis, x.shape)
     return ge * _centered(y, axis) / n, ge * _centered(x, axis) / n
 
@@ -536,6 +576,13 @@ _NEEDS_OUTPUT = {"tanh", "sigmoid", "softmax", "sqrt"}
 # slot kinds of the compiled plan; every op not listed is an _OP
 _CONST, _LEAF, _OP = "const", "leaf", "op"
 _KINDS = {"const": _CONST, "param": _LEAF, "input": _LEAF}
+
+
+def _trial_view(v, shape, rank):
+    """A stacked operand value (K,) + shape, with a unit axis after the
+    trial axis for each axis it lacks against `rank`, its widest fellow
+    operand's, so that it broadcasts against them as one trial would."""
+    return v.reshape(v.shape[:1] + (1,) * (rank - len(shape)) + shape)
 
 
 def _toposort(root):
@@ -584,6 +631,8 @@ class Graph:
             parents = tuple([self._slot[id(p)] for p in node.parents])
             forward = _FORWARD[op] if kind is _OP else None
             backward = _BACKWARD[op] if op in _BACKWARD else None
+            if op == "gru":  # the input's gradient costs a product of its own
+                backward = functools.partial(backward, need_x=self._needed[parents[0]])
             self._plan.append((node, kind, parents, forward, backward))
             self._needed.append(op == "param" or (
                 backward is not None and any(self._needed[i] for i in parents)))
@@ -591,15 +640,22 @@ class Graph:
         self._values = None
         self._saved = None
 
-    def _run(self, slots, values, saved, bindings):
+    def _run(self, slots, values, saved, bindings, stacked=()):
         """The one forward loop: fill `values` (and `saved`) at `slots`,
-        in order, reading leaves from `bindings`."""
+        in order, reading leaves from `bindings`. A slot in `stacked`
+        holds a leading trial axis; an op reads it as (K,) + (1,) *
+        (rank gap) + shape, lined up with its other operands."""
         plan = self._plan
         with np.errstate(all="ignore"):
             for k in slots:
                 node, kind, parents, forward, _ = plan[k]
                 if kind is _OP:
-                    v = forward(node, *[values[i] for i in parents])
+                    args = [values[i] for i in parents]
+                    if stacked:
+                        rank = max(len(plan[i][0].shape) for i in parents)
+                        args = [_trial_view(a, plan[i][0].shape, rank) if i in stacked else a
+                                for a, i in zip(args, parents)]
+                    v = forward(node, *args)
                     if node.op in _SAVES_STATE:
                         v, saved[k] = v
                     if not np.isfinite(v).all():
@@ -647,6 +703,20 @@ class Graph:
             if (kind is _LEAF and node.name == name) or not reached.isdisjoint(parents):
                 reached.add(k)
         return sorted(reached)
+
+    def _trials(self, slots, stack):
+        """Root values of the trials stacked along the first axis of
+        `stack`, bound to the leaf slots among `slots`, the downstream
+        slots of one parameter; the other slots keep their cached values."""
+        values = list(self._values)
+        ops = []
+        for k in slots:
+            if self._plan[k][1] is _LEAF:
+                values[k] = stack
+            else:
+                ops.append(k)
+        self._run(ops, values, {}, {}, stacked=set(slots))
+        return np.broadcast_to(values[-1], stack.shape[:1]).tolist()
 
     def backward(self):
         """Gradient of the scalar root w.r.t. every parameter leaf.
@@ -742,6 +812,14 @@ def grad_check(graph, bindings, epsilon=1e-6, n_coords=100, seed=0, skip_params=
     all parameter arrays, deterministically from `seed`. The relative
     error of each coordinate is |g_a - g_fd| / max(|g_a|, |g_fd|, 1e-12).
 
+    Each sampled parameter costs one forward pass over only the slots it
+    reaches: its K = 2 x (sampled coordinates) perturbed copies, +epsilon
+    then -epsilon per coordinate, are bound as one (K, *shape) stack, and
+    the pass yields K root values, each bit-identical to evaluating that
+    trial alone. Memory grows with K times the reached values. A stack
+    that raises is run again one trial at a time, so a GraphError names
+    the first failing trial's node, index or step.
+
     `skip_params` removes parameters from the sampled universe. Use it
     for parameters whose true gradient is identically zero through an
     invariance of the objective (e.g. a pure shift direction of a
@@ -778,24 +856,23 @@ def grad_check(graph, bindings, epsilon=1e-6, n_coords=100, seed=0, skip_params=
     else:
         flat = np.sort(rng.choice(total, size=n_coords, replace=False))
 
-    # each trial re-runs only what the perturbed leaf reaches, on a copy
-    # of the unperturbed values, which stay cached
-    slots = {}
-    for f in flat:
-        k = int(np.searchsorted(offsets, f, side="right") - 1)
-        name, idx = names[k], int(f - offsets[k])
-        if name not in slots:
-            slots[name] = graph._downstream(name)
+    owner = np.searchsorted(offsets, flat, side="right") - 1
+    for k in np.unique(owner):
+        name = names[k]
+        idx = (flat[owner == k] - offsets[k]).tolist()
         base = np.asarray(bindings[name], dtype=np.float64)
-        fd = []
-        for delta in (epsilon, -epsilon):
-            bumped = base.copy().reshape(-1)
-            bumped[idx] += delta
-            values = list(graph._values)
-            graph._run(slots[name], values, {}, {name: bumped.reshape(base.shape)})
-            fd.append(float(values[-1]))
-        numeric = (fd[0] - fd[1]) / (2.0 * epsilon)
-        ga = float(np.asarray(analytic[name]).reshape(-1)[idx])
-        rel = abs(ga - numeric) / max(abs(ga), abs(numeric), 1e-12)
-        report.records.append(CoordRecord(name, idx, ga, numeric, rel))
+        stack = np.tile(base.reshape(-1), (2 * len(idx), 1))
+        stack[np.arange(2 * len(idx)), np.repeat(idx, 2)] += np.tile([epsilon, -epsilon], len(idx))
+        stack = stack.reshape((-1,) + base.shape)
+        slots = graph._downstream(name)
+        try:
+            fd = graph._trials(slots, stack)
+        except GraphError:
+            fd = [v for trial in stack for v in graph._trials(slots, trial[None])]
+        grads = np.asarray(analytic[name]).reshape(-1)
+        for j, i in enumerate(idx):
+            numeric = (fd[2 * j] - fd[2 * j + 1]) / (2.0 * epsilon)
+            ga = float(grads[i])
+            rel = abs(ga - numeric) / max(abs(ga), abs(numeric), 1e-12)
+            report.records.append(CoordRecord(name, i, ga, numeric, rel))
     return report

@@ -5,7 +5,8 @@ missing/mismatched checkpoints, a split too small to train on or score,
 and an allocation the host cannot make), 3 I/O or dataset failure, 4
 numeric failure. Every run echoes its effective config into the output
 directory; identical seeds and configs reproduce every artifact
-byte-for-byte.
+byte-for-byte. eval's echo holds the model fields of the checkpoint it
+ran, not those of its flags.
 
 --head-checkpoint takes a head checkpoint; --checkpoint takes an
 aggregator checkpoint for train and an aggregator or joint checkpoint
@@ -297,28 +298,38 @@ def cmd_train(config):
 # eval
 
 
+# The fields eval takes from the checkpoint's stored config, whatever its
+# flags say: the model's shape, and the length bounds validated against t
+_MODEL_FIELDS = ("t", "l_min", "l_max", "d_in", "d_hidden", "d_ff", "gru_layers", "mask",
+                 "sigmoid_output", "representation", "head_width", "head_blocks",
+                 "two_term_coupling")
+
+
 def cmd_eval(config):
-    out = _out_dir(config)
     if not config.checkpoint:
         raise ConfigError("--checkpoint is required")
     ck = load_checkpoint(config.checkpoint)
     if ck.kind not in ("aggregator", "joint"):
         raise ConfigError(f"eval needs an aggregator or joint checkpoint, got {ck.kind!r}")
     run = _run_config_from(ck, "--checkpoint")
+    # the echo names the model that runs, with eval's own data and output fields
+    config = replace(config, **{name: getattr(run, name) for name in _MODEL_FIELDS})
+    out = _out_dir(config)
     samples, manifest = _load_videos(config)
-    _check_dims(manifest, run.t, run.d_in if ck.kind == "joint" else None, "the checkpoint")
+    _check_dims(manifest, config.t, config.d_in if ck.kind == "joint" else None,
+                "the checkpoint")
     # a correlation needs two points
     part = _require_split(_split_from_config(samples, config)[config.split], config.split, 2,
                           "video", "eval", config)
     if ck.kind == "aggregator":
         part = _affect_parts({"eval": part}, manifest, config.head_checkpoint,
-                             run.representation)["eval"]
-        agg_config = run.aggregator_config()
+                             config.representation)["eval"]
+        agg_config = config.aggregator_config()
         _check_param_shapes(ck.params, agg_config.param_shapes(), "eval")
         preds = agg.predict(part, ck.params, agg_config)
     else:
-        head_config = run.head_config()
-        agg_config = run.aggregator_config(d_in=FEATURE_DIM)
+        head_config = config.head_config()
+        agg_config = config.aggregator_config(d_in=FEATURE_DIM)
         hp, ap = training.split_joint_params(ck.params, head_config)
         _check_param_shapes(hp, head_config.param_shapes(), "eval")
         _check_param_shapes(ap, agg_config.param_shapes(), "eval")

@@ -368,6 +368,41 @@ def test_gru_backward_matches_per_step_formula(b, t, d, hid):
         np.testing.assert_array_equal(a, e)
 
 
+@pytest.mark.parametrize("b,t,d,hid", [(3, 5, 6, 4), (16, 32, 26, 16)])  # layer_gru, desk
+@pytest.mark.parametrize("stacked", ["x", *ad.GRU_WEIGHTS, "all"])
+def test_gru_trial_axis_matches_per_trial_runs(b, t, d, hid, stacked):
+    # K trials of the operands named by `stacked`, the others shared; a
+    # stacked bias is (K, 1, H), the view the engine's trial pass gives it
+    rng = np.random.default_rng(b + t + hid)
+    k = 3
+    trials = [{"x": rng.normal(size=(b, t * d)), **_gru_weights(rng, d, hid)} for _ in range(k)]
+    roles = ["x", *ad.GRU_WEIGHTS] if stacked == "all" else [stacked]
+    args = {}
+    for role, value in trials[0].items():
+        if role in roles:
+            value = np.stack([trial[role] for trial in trials])
+            args[role] = value[:, None] if role.startswith("b") else value
+        else:
+            args[role] = value
+    out, _ = ad.np_gru(args["x"], [args[role] for role in ad.GRU_WEIGHTS], t)
+    assert out.shape == (k, b, t * hid)
+    for i, trial in enumerate(trials):
+        alone = {role: trial[role] if role in roles else trials[0][role] for role in trial}
+        want, _ = ad.np_gru(alone["x"], [alone[role] for role in ad.GRU_WEIGHTS], t)
+        assert out[i].tobytes() == want.tobytes()
+
+
+def test_gru_skips_an_unneeded_input_gradient():
+    rng = np.random.default_rng(12)
+    weights = list(_gru_weights(rng, 6, 4).values())
+    out, saved = ad.np_gru(rng.normal(size=(3, 30)), weights, 5)
+    g = rng.normal(size=out.shape)
+    full = ad.np_gru_backward(g, weights, saved)
+    lean = ad.np_gru_backward(g, weights, saved, need_x=False)
+    assert lean[0] is None
+    assert [a.tobytes() for a in lean[1:]] == [a.tobytes() for a in full[1:]]
+
+
 # ---------------------------------------------------------------------------
 # the slot plan against the id-keyed engine; grad_check's downstream trials
 
@@ -432,9 +467,9 @@ def test_no_rule_runs_where_no_parameter_reaches(name, monkeypatch):
     # the plan looks its rules up when the graph is built, so wrap them first
     ran = []
     for op, rule in list(ad._BACKWARD.items()):
-        def logged(node, *args, rule=rule):
+        def logged(node, *args, rule=rule, **kwargs):  # the plan binds gru's need_x
             ran.append(node)
-            return rule(node, *args)
+            return rule(node, *args, **kwargs)
         monkeypatch.setitem(ad._BACKWARD, op, logged)
     graph, bindings = _plan_case(name)
     inputs = {node.name for node in graph.order if node.op == "input"}
@@ -484,6 +519,20 @@ def test_downstream_trial_names_the_non_finite_node():
             pytest.raises(ad.GraphError, match=f"non-finite value in node '{node.name}' "
                                                "at flat index 1$"):
         ad.grad_check(graph, {"x": np.array([1.0, 0.0, 4.0])}, n_coords=3)
+    # s[0] feeds step 4 and s[1] step 2 of a gru, each just short of
+    # overflowing x @ wz: every +epsilon trial overflows a pre-activation,
+    # the first one, of s[0], at step 4
+    s = ad.param("s", (1, 2))
+    frames = np.zeros((2, 5))
+    frames[0, 4] = frames[1, 2] = np.finfo(float).max / 2.0000001
+    weights = [ad.constant(np.full(shape, 2.0 if role == "wz" else 0.0))
+               for role, shape in zip(ad.GRU_WEIGHTS, [(1, 1), (1, 1), (1,)] * 3)]
+    hs = ad.gru(ad.matmul(s, ad.constant(frames)), weights, 5, 1, name="gru0")
+    graph = ad.Graph(ad.reduce_sum(hs))
+    message = "non-finite pre-activation in gru0 step 4$"
+    for check in (ad.grad_check, full_grad_check):
+        with np.errstate(over="ignore"), pytest.raises(ad.GraphError, match=message):
+            check(graph, {"s": np.ones((1, 2))}, n_coords=2)
 
 
 def test_numeric_error_names_the_layer():

@@ -14,7 +14,7 @@ import pytest
 from affectseq import autodiff as ad
 from affectseq import cli, data
 from affectseq.checkpoint import load_checkpoint, save_checkpoint
-from affectseq.config import RunConfig
+from affectseq.config import RunConfig, build_config
 from helpers import read_checkpoint, read_dataset, write_checkpoint, write_dataset
 
 
@@ -187,6 +187,47 @@ def test_eval_prints_mean_rho_percent_last(tmp_path, capsys):
     float(final)  # bare percentage
     assert (tmp_path / "eval" / "report.json").exists()
     assert (tmp_path / "eval" / "report.csv").exists()
+
+
+def test_eval_echoes_the_checkpoint_model_fields(tmp_path, monkeypatch):
+    # the flags ask for another model (d_hidden 8, the desk preset's t 32);
+    # eval runs the checkpoint's (d_hidden 16, t 16) and must say so
+    data_path = gen_videos(tmp_path)
+    out = tmp_path / "run"
+    assert run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--seed", "7", "--out", str(out),
+    ) == 0
+    predicted, predict = [], cli.agg.predict
+
+    def capture(*args):
+        predicted.append(predict(*args))
+        return predicted[-1]
+
+    monkeypatch.setattr(cli.agg, "predict", capture)
+    eval_dir = tmp_path / "eval"
+    assert run(
+        "eval", "--preset", "desk", "--d-hidden", "8", "--dataset", str(data_path),
+        "--checkpoint", str(out / "checkpoint.json"), "--split", "test", "--seed", "5",
+        "--out", str(eval_dir),
+    ) == 0
+    echo = json.loads((eval_dir / "effective_config.json").read_text())
+    stored = load_checkpoint(out / "checkpoint.json").config
+    for name in cli._MODEL_FIELDS:
+        assert echo[name] == stored[name], name
+    assert (echo["d_hidden"], echo["t"], echo["l_max"]) == (16, 16, 16)
+    assert (echo["dataset"], echo["split"], echo["seed"], echo["out"]) == (
+        str(data_path), "test", 5, str(eval_dir))
+    rebuilt = build_config(config_file=eval_dir / "effective_config.json")
+    assert rebuilt.to_dict() == echo
+    # the benchmark's twin check rebuilds the run from this file
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workload
+    finally:
+        sys.path.pop(0)
+    ok, detail = workload.check_twins(eval_dir, predicted[-1])
+    assert ok, detail
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path):
