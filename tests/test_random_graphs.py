@@ -11,8 +11,11 @@ parameter or by a placeholder. Every draw must agree with
 which runs each parameter's trials as one stacked pass, with
 `helpers.full_grad_check`, which re-evaluates the whole graph per
 trial. A draw that hits a non-finite value must raise the same
-GraphError text on both sides.
+GraphError text on both sides; a finite forward pass may still yield a
+NaN gradient (sqrt at 0), which both sides must report alike.
 """
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -192,6 +195,12 @@ def _same(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _report_text(report):
+    """The report as JSON text, where NaN equals NaN and every float is
+    written in full; dict equality would call two NaN fields different."""
+    return json.dumps(report.to_dict())
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_graphs())
 def test_random_graph_matches_reference_engines(case):
@@ -212,4 +221,16 @@ def test_random_graph_matches_reference_engines(case):
         reference, want_error = _outcome(full_grad_check, graph, bindings, **args)
     assert error == want_error
     if error is None:
-        assert report.to_dict() == reference.to_dict()
+        assert _report_text(report) == _report_text(reference)
+
+
+def test_nan_gradient_reports_match():
+    # sqrt(p - p) is finite forward, but its gradient is 0.5 / 0 * 0 = NaN
+    p = ad.param("p", (2, 2))
+    graph = ad.Graph(ad.reduce_sum(ad.sqrt(ad.sub(p, p))))
+    bindings = {"p": np.random.default_rng(0).normal(size=(2, 2))}
+    with np.errstate(all="ignore"):
+        report = ad.grad_check(graph, bindings, n_coords=1, seed=1)
+        reference = full_grad_check(graph, bindings, n_coords=1, seed=1)
+    assert np.isnan(report.records[0].analytic)
+    assert _report_text(report) == _report_text(reference)
