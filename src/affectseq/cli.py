@@ -84,12 +84,12 @@ def _out_dir(config):
     return out
 
 
-def _load_videos(config, expect_kind="videos"):
+def _load_dataset(config, kind):
     if not config.dataset:
         raise ConfigError("--dataset is required")
     samples, manifest = data.load_dataset(config.dataset)
-    if manifest.kind != expect_kind:
-        raise ConfigError(f"dataset kind {manifest.kind!r}, expected {expect_kind!r}")
+    if manifest.kind != kind:
+        raise ConfigError(f"dataset kind {manifest.kind!r}, expected {kind!r}")
     return samples, manifest
 
 
@@ -237,7 +237,7 @@ def cmd_train(config):
         _require_batch(config, config.loss, "train")
     out = _out_dir(config)
     if config.stage == "mma":
-        samples, manifest = _load_videos(config, expect_kind="frames")
+        samples, manifest = _load_dataset(config, "frames")
         _check_dims(manifest, None, config.d_in, "the config")
         parts = _fit_parts(samples, config, 1, 1, "frame", "train")
         head_config = config.head_config()
@@ -248,7 +248,7 @@ def cmd_train(config):
         )
         kind, metric_key = "head", "val_loss"
     elif config.stage == "mrnn-frozen":
-        samples, manifest = _load_videos(config)
+        samples, manifest = _load_dataset(config, "videos")
         _check_dims(manifest, config.t, None, "the config")
         parts = _fit_parts(samples, config, training.min_batch(config.loss), None, "video",
                            "train")
@@ -263,7 +263,7 @@ def cmd_train(config):
         )
         kind, metric_key = "aggregator", "val_mean_rho"
     else:  # end-to-end
-        samples, manifest = _load_videos(config)
+        samples, manifest = _load_dataset(config, "videos")
         if manifest.recipe.get("feature_kind") != "descriptor":
             raise ConfigError("end-to-end training expects descriptor videos")
         _check_dims(manifest, config.t, config.d_in, "the config")
@@ -315,7 +315,7 @@ def cmd_eval(config):
     # the echo names the model that runs, with eval's own data and output fields
     config = replace(config, **{name: getattr(run, name) for name in _MODEL_FIELDS})
     out = _out_dir(config)
-    samples, manifest = _load_videos(config)
+    samples, manifest = _load_dataset(config, "videos")
     _check_dims(manifest, config.t, config.d_in if ck.kind == "joint" else None,
                 "the checkpoint")
     # a correlation needs two points
@@ -388,7 +388,7 @@ def cmd_gradcheck(config, epsilon):
 def cmd_ablate(config):
     _require_batch(config, "pearson", "ablate")  # the sweep trains both losses
     out = _out_dir(config)
-    samples, manifest = _load_videos(config)
+    samples, manifest = _load_dataset(config, "videos")
     if manifest.d != FEATURE_DIM or manifest.recipe.get("feature_kind", "affect") != "affect":
         raise ConfigError(f"ablation needs a full {FEATURE_DIM}-dim affect video dataset")
     _check_dims(manifest, config.t, None, "the config")

@@ -439,21 +439,6 @@ def _check(cond, number, message):
         raise DatasetError(f"record {number}: {message}")
 
 
-def _validate_affect_rows(rows, number):
-    va = rows[:, VA_SLICE]
-    expr = rows[:, EXPR_SLICE]
-    au = rows[:, AU_SLICE]
-    _check(np.all(np.abs(va) <= 1.0 + 1e-12), number, "va block outside [-1, 1]")
-    _check(np.all(expr >= -1e-12), number, "expr block has negative mass")
-    sums = expr.sum(axis=1)
-    _check(
-        np.all(np.abs(sums - 1.0) <= 1e-6),
-        number,
-        f"expr block does not sum to 1 (got {sums[np.argmax(np.abs(sums - 1.0))]:.6g})",
-    )
-    _check(np.all((au >= -1e-12) & (au <= 1.0 + 1e-12)), number, "au block outside [0, 1]")
-
-
 def load_dataset(path):
     """Read a dataset and its manifest, validating every record invariant.
 
@@ -564,37 +549,34 @@ def _check_videos(frames, lengths, labels, recipe):
     """Raise DatasetError naming the first video, and its first invariant,
     that `frames` (n, t, d), `lengths` (n,) and `labels` (n, 7) break.
 
-    One pass over all videos flags every video that may break one: the
-    zero padding over the rows past each length, the affect bounds over
-    all rows (zero rows and decoy rows lie within them), the expr sums
-    over the live rows. The flagged videos are then checked one by one,
-    in order, over their live rows, which names the fault.
+    One pass over all videos fills a (video, invariant) failure table, in
+    the order the invariants are reported: the label in [0, 1], zero
+    padding past each length, then over the live rows only the va block
+    in [-1, 1], nonnegative expr mass, expr sums of 1 and the au block in
+    [0, 1]. Its first entry in row-major order is the fault.
     """
-    n, t, d = frames.shape
-    values = frames.reshape(n, t * d)
+    t = frames.shape[1]
     live = np.arange(t) < lengths[:, None]  # (n, t)
-    ok = ((labels >= 0) & (labels <= 1)).all(axis=1)
-    zeros = recipe.get("padding", "zeros") == "zeros"
-    affect = recipe.get("feature_kind", "affect") == "affect"
-    if zeros:
-        ok &= ~((values != 0.0) & np.repeat(~live, d, axis=1)).any(axis=1)
-    if affect:
-        # each column's bounds: the va block in [-1, 1], expr mass
-        # nonnegative, the au block in [0, 1], all up to 1e-12
-        low, high = np.full(d, -np.inf), np.full(d, np.inf)
-        low[VA_SLICE], high[VA_SLICE] = -1.0 - 1e-12, 1.0 + 1e-12
-        low[EXPR_SLICE] = -1e-12
-        low[AU_SLICE], high[AU_SLICE] = -1e-12, 1.0 + 1e-12
-        ok &= ((values >= np.tile(low, t)) & (values <= np.tile(high, t))).all(axis=1)
-        sums = frames[..., EXPR_SLICE].sum(axis=2)  # the same sums, bit for bit, as below
-        ok &= ((np.abs(sums - 1.0) <= 1e-6) | ~live).all(axis=1)
-    for i in np.flatnonzero(~ok):
-        number, length, label = i + 1, lengths[i], labels[i]
-        _check(np.all((label >= 0) & (label <= 1)), number, "bad intensity label")
-        if zeros and length < t:
-            _check(np.all(frames[i, length:] == 0.0), number, "padded rows are not zero")
-        if affect:
-            _validate_affect_rows(frames[i, :length], number)
+    dead = ~live[..., None]
+    faults = {"bad intensity label": ~((labels >= 0) & (labels <= 1)).all(axis=1)}
+    if recipe.get("padding", "zeros") == "zeros":
+        faults["padded rows are not zero"] = ((frames != 0.0) & dead).any(axis=(1, 2))
+    if recipe.get("feature_kind", "affect") == "affect":
+        va, expr, au = frames[..., VA_SLICE], frames[..., EXPR_SLICE], frames[..., AU_SLICE]
+        faults["va block outside [-1, 1]"] = ~((np.abs(va) <= 1.0 + 1e-12) | dead).all(axis=(1, 2))
+        faults["expr block has negative mass"] = ~((expr >= -1e-12) | dead).all(axis=(1, 2))
+        sums = expr.sum(axis=2)  # (n, t)
+        off = np.where(live, np.abs(sums - 1.0), -1.0)  # a padded row is never off
+        bad_sums = ~(off <= 1e-6).all(axis=1)
+        # only the first video whose sums are off can be named for them
+        k = bad_sums.argmax()
+        faults[f"expr block does not sum to 1 (got {sums[k, off[k].argmax()]:.6g})"] = bad_sums
+        faults["au block outside [0, 1]"] = ~(((au >= -1e-12) & (au <= 1.0 + 1e-12))
+                                              | dead).all(axis=(1, 2))
+    table = np.stack(list(faults.values()), axis=1)  # (n, invariants)
+    if table.any():
+        i, j = divmod(int(table.argmax()), table.shape[1])
+        raise DatasetError(f"record {i + 1}: {list(faults)[j]}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ the whole graph per trial, and the per-step GRU backward formula), a
 second, independent implementation of the stored-array layout of
 checkpoints and datasets, and the inputs and quiet command-line runner of
 the config and checkpoint fuzz tests, the two per-model parameter
-initializers that `optim.init_params` replaced, and the per-step
-valence-arousal loop of the video generator."""
+initializers that `optim.init_params` replaced, the per-step
+valence-arousal loop of the video generator, and the per-record video
+checks that `data._check_videos` replaced."""
 
 import contextlib
 import io
@@ -22,7 +23,7 @@ from affectseq import affect_head as head
 from affectseq import aggregator as agg
 from affectseq import autodiff as ad
 from affectseq import cli, metrics
-from affectseq.affect_space import AU_IDS, EXPRESSIONS
+from affectseq.affect_space import AU_IDS, AU_SLICE, EXPR_SLICE, EXPRESSIONS, VA_SLICE
 from affectseq.data import _mixture_logits
 
 
@@ -139,6 +140,35 @@ def trajectory_oracle(rng, length, recipe, relatedness):
         1.0,
     )
     return np.concatenate([va_obs, weights, au], axis=1)
+
+
+def video_fault_oracle(frames, lengths, labels, recipe):
+    """The message `data._check_videos` raises for `frames` (n, t, d),
+    `lengths` (n,) and `labels` (n, 7), or None: one video at a time, its
+    label, then its padding under zeros padding, then for affect features
+    its live rows' va bounds, expr mass, expr sums and au bounds."""
+    zeros = recipe.get("padding", "zeros") == "zeros"
+    affect = recipe.get("feature_kind", "affect") == "affect"
+    for number, (video, length, label) in enumerate(zip(frames, lengths, labels), start=1):
+        if not np.all((label >= 0) & (label <= 1)):
+            return f"record {number}: bad intensity label"
+        if zeros and not np.all(video[length:] == 0.0):
+            return f"record {number}: padded rows are not zero"
+        if not affect:
+            continue
+        rows = video[:length]
+        va, expr, au = rows[:, VA_SLICE], rows[:, EXPR_SLICE], rows[:, AU_SLICE]
+        sums = expr.sum(axis=1)
+        if not np.all(np.abs(va) <= 1.0 + 1e-12):
+            return f"record {number}: va block outside [-1, 1]"
+        if not np.all(expr >= -1e-12):
+            return f"record {number}: expr block has negative mass"
+        if not np.all(np.abs(sums - 1.0) <= 1e-6):
+            worst = sums[np.argmax(np.abs(sums - 1.0))]
+            return f"record {number}: expr block does not sum to 1 (got {worst:.6g})"
+        if not np.all((au >= -1e-12) & (au <= 1.0 + 1e-12)):
+            return f"record {number}: au block outside [0, 1]"
+    return None
 
 
 def dict_evaluate(graph, bindings):

@@ -2,6 +2,7 @@ import base64
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectseq import cli, data
-from affectseq.affect_space import AU_SLICE, EXPR_SLICE, relatedness_matrix
-from helpers import read_dataset, trajectory_oracle, write_dataset
+from affectseq.affect_space import AU_SLICE, EXPR_SLICE, VA_SLICE, relatedness_matrix
+from helpers import read_dataset, trajectory_oracle, video_fault_oracle, write_dataset
 
 
 def test_distribute_examples():
@@ -579,6 +580,76 @@ def test_affect_checks_skip_rows_past_the_length(tmp_path):
     data.save_dataset(path, samples, manifest)
     loaded, _ = data.load_dataset(path)
     np.testing.assert_array_equal(loaded[samples.index(short)].frames, short.frames)
+
+
+# Values an edited video entry or label takes: each bound, a hair (1e-12)
+# inside and outside it, and values far outside; a shift moves an entry
+# by a mass the expr sum tolerance (1e-6) forgives or does not.
+_EDGE_VALUES = (0.0, 0.5, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, 1.0 + 3e-12, -1.0 - 3e-12,
+                1e-12, -1e-12, -3e-12, 2.0, -2.0)
+_SHIFTS = (1e-7, -1e-7, 2e-6, -2e-6)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(1, 4), t=st.integers(1, 6), d=st.just(26) | st.integers(1, 29),
+       padding=st.sampled_from(["zeros", "noise"]),
+       kind=st.sampled_from(["affect", "descriptor"]), seed=st.integers(0, 2**32 - 1),
+       draw=st.data())
+def test_video_checks_raise_the_per_record_oracle_message(n, t, d, padding, kind, seed, draw):
+    rng = np.random.default_rng(seed)
+    lengths = np.array(draw.draw(st.lists(st.integers(1, t), min_size=n, max_size=n)))
+    if kind == "affect":
+        # va, expr and au blocks within their bounds, then any extra columns
+        rows = np.concatenate([rng.uniform(-1.0, 1.0, (n, t, 2)), rng.dirichlet(np.ones(7), (n, t)),
+                               rng.uniform(0.0, 1.0, (n, t, 17)),
+                               rng.normal(size=(n, t, max(d - 26, 0)))], axis=2)
+        frames = rows[..., :d].copy()
+    else:
+        frames = rng.normal(size=(n, t, d))
+    dead = np.arange(t) >= lengths[:, None]
+    frames[dead] = 0.0 if padding == "zeros" else 2.0 * rng.normal(size=(dead.sum(), d))
+    labels = rng.uniform(0.0, 1.0, (n, 7))
+    blocks = {"va": VA_SLICE, "expr": EXPR_SLICE, "au": AU_SLICE, "frames": slice(None),
+              "shift": EXPR_SLICE}
+    edits = st.tuples(st.sampled_from(["label", *blocks]), st.integers(0, 2**16),
+                      st.integers(0, 2**16), st.sampled_from(_EDGE_VALUES),
+                      st.sampled_from(_SHIFTS))
+    for target, at, column, value, shift in draw.draw(st.lists(edits, max_size=4)):
+        if target == "label":
+            labels.flat[at % labels.size] = value
+            continue
+        columns = np.arange(d)[blocks[target]]
+        columns = columns if columns.size else np.arange(d)  # the width cut the block off
+        i, row = divmod(at % (n * t), t)
+        if target == "shift":
+            frames[i, row, columns[column % columns.size]] += shift
+        else:
+            frames[i, row, columns[column % columns.size]] = value
+    recipe = {"padding": padding, "feature_kind": kind}
+    expected = video_fault_oracle(frames, lengths, labels, recipe)
+    try:
+        data._check_videos(frames, lengths, labels, recipe)
+    except data.DatasetError as e:
+        assert str(e) == expected
+    else:
+        assert expected is None
+
+
+@pytest.mark.parametrize("padding", ["zeros", "noise"])
+def test_paper_video_load_peaks_under_one_and_a_half_payloads(tmp_path, padding):
+    samples, manifest = data.gen_video_dataset(
+        4, 32, data.VideoRecipe(l_max=480, padding=padding), t=480)
+    path = tmp_path / "videos.jsonl"
+    data.save_dataset(path, samples, manifest)
+    payload = sum(s.frames.nbytes + s.label.nbytes for s in samples)
+    tracemalloc.start()
+    try:
+        loaded, _ = data.load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * payload, peak / payload
+    assert len(loaded) == len(samples)
 
 
 @pytest.mark.parametrize("labels", [

@@ -12,6 +12,7 @@ broadcast gradients are summed down at one place, stored arrays are
 read in one module, `codec`, with no text encoding, each loader reads
 its file's arrays with one call, the video generator's per-frame loop
 makes no numpy call, and neither do the head's loss graph builders.
+Each video invariant's message is written once.
 """
 
 import ast
@@ -176,3 +177,14 @@ def test_head_loss_builders_make_no_numpy_call():
              if isinstance(call, ast.Call)
              and "np" in {n.id for n in ast.walk(call.func) if isinstance(n, ast.Name)}]
     assert not calls, "numpy call in a head loss builder: " + ", ".join(calls)
+
+
+def test_each_video_invariant_is_written_once():
+    # one pass judges every video against each invariant; a second copy
+    # of an invariant could disagree with the first on a damaged file
+    sources = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    messages = ("bad intensity label", "padded rows are not zero", "va block outside [-1, 1]",
+                "expr block has negative mass", "expr block does not sum to 1",
+                "au block outside [0, 1]")
+    counts = {message: sources.count(message) for message in messages}
+    assert all(count == 1 for count in counts.values()), counts
