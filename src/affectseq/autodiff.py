@@ -18,7 +18,9 @@ piecewise constant in its operands, so backward passes nothing through it.
 A node's forward rule may also return saved state, which the engine
 keeps per node for the current evaluate call and hands to the backward
 rule: `gru` saves its gates and hidden states instead of recomputing
-them. Values and saved state both live on the Graph, never on a Node.
+them. Values and saved state both live on the Graph, never on a Node:
+`evaluate` caches them and `backward` takes them, so after a training
+step the graph holds no activation and no bound parameter.
 
 `Graph.__init__` compiles the topological order into a slot plan: one
 entry per node with its kind (const, leaf or op), its parents' slot
@@ -32,14 +34,13 @@ slot whose input no parameter reaches skips that input's gradient.
 `grad_check` binds all of one parameter's perturbed copies as one
 stack with a leading trial axis, +epsilon then -epsilon per sampled
 coordinate, and runs the same forward loop once over only the slots
-downstream of that parameter, on a copy of the cached values. Every
+downstream of that parameter, on a copy of the values it evaluated. Every
 forward rule counts its axes from the end, and the loop views a stacked
 operand as (K,) + (1,) * (rank gap) + shape, so each trial broadcasts
 against the unstacked operands exactly as a lone trial would: every
-trial's root comes out bit-identical to a full evaluate of that trial,
-and the cache still holds the unperturbed pass. A stack that meets a
-non-finite value is run again one trial at a time, so the error names
-the node, index and step of the first failing trial.
+trial's root comes out bit-identical to a full evaluate of that trial.
+A stack that meets a non-finite value is run again one trial at a time,
+so the error names the node, index and step of the first failing trial.
 
 Cycles cannot be constructed: a node's parents are fixed at creation,
 so every expression is a DAG by construction.
@@ -608,6 +609,9 @@ def _toposort(root):
 class Graph:
     """A rooted DAG compiled into a slot plan, with its evaluation state.
 
+    `evaluate` caches the forward state (node values, `gru` saved state)
+    and `backward` takes it: after a backward the graph holds no pass.
+
     Single-writer: evaluate/backward on one instance must not be
     interleaved across threads. Distinct Graph instances are independent
     even when they share Node objects, so separate graphs may run in
@@ -682,7 +686,7 @@ class Graph:
 
         `bindings` maps every param/input leaf name to an array of the
         declared shape (extra keys are ignored). Intermediate values are
-        cached for backward.
+        cached for `cached_value` and for one backward.
         """
         values, saved = [None] * len(self._plan), {}
         self._run(range(len(self._plan)), values, saved, bindings)
@@ -690,9 +694,10 @@ class Graph:
         return values[-1]
 
     def cached_value(self, node):
-        """Value of any node from the most recent evaluate call."""
+        """Value of any node from the most recent evaluate call, until a
+        backward takes it."""
         if self._values is None:
-            raise GraphError("cached_value called before evaluate")
+            raise GraphError("cached_value called before evaluate or after backward")
         return self._values[self._slot[id(node)]]
 
     def _downstream(self, name):
@@ -704,11 +709,11 @@ class Graph:
                 reached.add(k)
         return sorted(reached)
 
-    def _trials(self, slots, stack):
+    def _trials(self, slots, stack, cached):
         """Root values of the trials stacked along the first axis of
         `stack`, bound to the leaf slots among `slots`, the downstream
-        slots of one parameter; the other slots keep their cached values."""
-        values = list(self._values)
+        slots of one parameter; the other slots keep their `cached` values."""
+        values = list(cached)
         ops = []
         for k in slots:
             if self._plan[k][1] is _LEAF:
@@ -724,13 +729,15 @@ class Graph:
         Visits nodes in exact reverse topological order, sending gradient
         only into slots a parameter reaches, and sums a broadcast gradient
         down to its parent's shape here alone. Parameters the root never
-        reads come back as exactly-zero arrays.
+        reads come back as exactly-zero arrays. The pass takes the forward
+        state out of the graph first, so each backward needs an evaluate.
         """
-        if self._values is None:
+        values, saved, plan, needed = self._values, self._saved, self._plan, self._needed
+        self._values = self._saved = None
+        if values is None:
             raise GraphError("backward called before evaluate")
         if self.root.shape != ():
             raise GraphError(f"root must be scalar, has shape {self.root.shape}")
-        values, saved, plan, needed = self._values, self._saved, self._plan, self._needed
         grads = [None] * len(plan)
         grads[-1] = np.ones((), dtype=np.float64) if needed[-1] else None
         for k in range(len(plan) - 1, -1, -1):
@@ -840,6 +847,7 @@ def grad_check(graph, bindings, epsilon=1e-6, n_coords=100, seed=0, skip_params=
         )
 
     graph.evaluate(bindings)
+    cached = graph._values
     analytic = graph.backward()
 
     names = sorted(n for n in graph.params if n not in set(skip_params))
@@ -866,9 +874,9 @@ def grad_check(graph, bindings, epsilon=1e-6, n_coords=100, seed=0, skip_params=
         stack = stack.reshape((-1,) + base.shape)
         slots = graph._downstream(name)
         try:
-            fd = graph._trials(slots, stack)
+            fd = graph._trials(slots, stack, cached)
         except GraphError:
-            fd = [v for trial in stack for v in graph._trials(slots, trial[None])]
+            fd = [v for trial in stack for v in graph._trials(slots, trial[None], cached)]
         grads = np.asarray(analytic[name]).reshape(-1)
         for j, i in enumerate(idx):
             numeric = (fd[2 * j] - fd[2 * j + 1]) / (2.0 * epsilon)

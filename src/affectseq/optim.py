@@ -39,7 +39,8 @@ def init_params(config, seed):
         if name.split(".")[-1].startswith("b"):
             params[name] = np.zeros(shape)
         else:
-            params[name] = rng.normal(size=shape) / np.sqrt(shape[0])
+            w = params[name] = rng.normal(size=shape)
+            w /= np.sqrt(shape[0])
     return params
 
 

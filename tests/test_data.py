@@ -652,6 +652,24 @@ def test_paper_video_load_peaks_under_one_and_a_half_payloads(tmp_path, padding)
     assert len(loaded) == len(samples)
 
 
+def test_paper_video_load_returns_the_saved_arrays_under_one_and_a_half_payloads(tmp_path):
+    samples, manifest = data.gen_video_dataset(4, 32, data.VideoRecipe(l_max=480), t=480)
+    data.save_dataset(tmp_path / "videos.jsonl", samples, manifest)
+    want = [a for s in samples for a in (s.frames, s.label)]
+    payload = sum(arr.nbytes for arr in want)
+    tracemalloc.start()
+    try:
+        got = [a for s in data.load_dataset(tmp_path / "videos.jsonl")[0]
+               for a in (s.frames, s.label)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * payload, peak / payload
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 @pytest.mark.parametrize("labels", [
     combo for r in (1, 2, 3) for combo in itertools.combinations(("va", "expr", "au"), r)
 ], ids="+".join)

@@ -12,7 +12,8 @@ broadcast gradients are summed down at one place, stored arrays are
 read in one module, `codec`, with no text encoding, each loader reads
 its file's arrays with one call, the video generator's per-frame loop
 makes no numpy call, and neither do the head's loss graph builders.
-Each video invariant's message is written once.
+Each video invariant's message is written once, and only the graph
+engine reads a graph's forward state, which its backward takes.
 """
 
 import ast
@@ -188,3 +189,14 @@ def test_each_video_invariant_is_written_once():
                 "au block outside [0, 1]")
     counts = {message: sources.count(message) for message in messages}
     assert all(count == 1 for count in counts.values()), counts
+
+
+def test_only_the_engine_reads_a_graphs_forward_state():
+    # backward takes a graph's forward state, so nothing outside autodiff
+    # may read it; `cached_value` is the one public way to a node's value
+    sources = [path for folder in (PACKAGE, ROOT / "perfbench", ROOT / "tests")
+               for path in sorted(folder.glob("*.py")) if path != PACKAGE / "autodiff.py"]
+    readers = [f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}"
+               for path in sources for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("_values", "_saved")]
+    assert not readers, "graph state read outside autodiff: " + ", ".join(readers)

@@ -1,8 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from affectseq import aggregator as agg
 from affectseq import affect_head as head
+from affectseq import autodiff as ad
 from affectseq import metrics, training
 from affectseq.data import (
     FrameRecipe,
@@ -220,6 +224,58 @@ def test_joint_runner_step_rejects_aggregator_width_frames():
     affect = np.zeros((len(samples), agg_config.t, agg_config.d_in))
     with pytest.raises(ValueError, match="frames shape"):
         runner.step(params, adam_init(params), affect, lengths, labels, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# a step leaves nothing behind: backward takes the forward state, so once
+# the caller drops its parameter dict nothing holds the arrays it gave
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["aggregator", "joint"])
+def test_runner_step_leaves_nothing_behind(joint):
+    if joint:
+        samples, head_config, config, params = _joint_setup(seed=17)
+    else:
+        samples, _ = gen_video_dataset(18, 4, VideoRecipe(l_min=3, l_max=12), 12)
+        head_config, config, params = None, AGG, init_params(AGG, seed=19)
+    frames, lengths, labels = video_arrays(samples)
+    runner = agg.BatchRunner(config, len(samples), "pearson", head_config=head_config)
+    given = weakref.ref(params["ff1.w"])
+    runner.step(params, adam_init(params), frames, lengths, labels, 1e-3)
+    del params
+    assert given() is None
+    with pytest.raises(ad.GraphError, match="^backward called before evaluate$"):
+        runner.graph.backward()
+
+
+def test_head_train_step_leaves_nothing_behind():
+    samples, _ = gen_frame_dataset(20, 8, FrameRecipe(d_in=6))
+    config = head.HeadConfig(d_in=6, width=6, n_blocks=1)
+    params, graphs = init_params(config, seed=21), {}
+    given = weakref.ref(params["trunk.in.w"])
+    head.head_train_step(head.frame_arrays(samples), params, adam_init(params), 1e-3,
+                         config, graphs)
+    del params
+    assert given() is None
+    [(graph, _)] = graphs.values()
+    with pytest.raises(ad.GraphError, match="^backward called before evaluate$"):
+        graph.backward()
+
+
+def test_train_aggregator_peaks_under_seven_ff1_weights():
+    # the previous step's parameters and activations are gone by the
+    # epoch's validation; holding them peaked at about 7.3 ff1.w sizes
+    samples, _ = gen_video_dataset(0, 24, VideoRecipe(l_min=24, l_max=96), t=96)
+    config = agg.AggregatorConfig(t=96, d_hidden=64, d_ff=64)
+    ff1_bytes = 8 * int(np.prod(config.param_shapes()["ff1.w"]))
+    tracemalloc.start()
+    try:
+        training.train_aggregator(samples[:16], samples[16:], config, epochs=1, batch_size=4,
+                                  lr=1e-3, loss_kind="pearson", seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.9 * ff1_bytes, peak / ff1_bytes
 
 
 def test_curve_files(tmp_path):
