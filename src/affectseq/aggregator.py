@@ -74,10 +74,9 @@ def gru_forward(frames, params, prefix="gru0"):
 
 
 def length_mask(lengths, t, d_hidden):
-    """(n, t*d_hidden) 0/1 array keeping each row's true-length prefix."""
+    """(n, t*d_hidden) 0/1 array keeping each row's true-length prefix.
+    Callers pass lengths in [1, t], as the dataset loader checks them."""
     lengths = np.asarray(lengths)
-    if np.any(lengths < 1) or np.any(lengths > t):
-        raise ValueError(f"lengths must lie in [1, {t}]")
     positions = np.arange(t * d_hidden)
     return (positions[None, :] < lengths[:, None] * d_hidden).astype(np.float64)
 

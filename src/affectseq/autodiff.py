@@ -723,6 +723,7 @@ class Graph:
         self._run(ops, values, {}, {}, stacked=set(slots))
         return np.broadcast_to(values[-1], stack.shape[:1]).tolist()
 
+    @np.errstate(all="ignore")
     def backward(self):
         """Gradient of the scalar root w.r.t. every parameter leaf.
 
@@ -731,6 +732,7 @@ class Graph:
         down to its parent's shape here alone. Parameters the root never
         reads come back as exactly-zero arrays. The pass takes the forward
         state out of the graph first, so each backward needs an evaluate.
+        It warns of no overflow; `optim.adam_step` refuses a non-finite gradient.
         """
         values, saved, plan, needed = self._values, self._saved, self._plan, self._needed
         self._values = self._saved = None

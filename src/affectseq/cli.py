@@ -206,7 +206,7 @@ def _check_dims(manifest, t, d, context):
 def _affect_parts(parts, manifest, head_checkpoint, representation):
     """Each split as the aggregator reads it: descriptor videos go through
     the frozen head, then frames keep the representation's columns."""
-    if manifest.recipe.get("feature_kind", "affect") == "descriptor":
+    if manifest.recipe["feature_kind"] == "descriptor":
         if not head_checkpoint:
             raise ConfigError("descriptor videos need --head-checkpoint for feature extraction")
         ck = _load_kind(head_checkpoint, "head", "--head-checkpoint")
@@ -264,7 +264,7 @@ def cmd_train(config):
         kind, metric_key = "aggregator", "val_mean_rho"
     else:  # end-to-end
         samples, manifest = _load_dataset(config, "videos")
-        if manifest.recipe.get("feature_kind") != "descriptor":
+        if manifest.recipe["feature_kind"] != "descriptor":
             raise ConfigError("end-to-end training expects descriptor videos")
         _check_dims(manifest, config.t, config.d_in, "the config")
         parts = _fit_parts(samples, config, training.min_batch(config.loss), None, "video",
@@ -389,7 +389,7 @@ def cmd_ablate(config):
     _require_batch(config, "pearson", "ablate")  # the sweep trains both losses
     out = _out_dir(config)
     samples, manifest = _load_dataset(config, "videos")
-    if manifest.d != FEATURE_DIM or manifest.recipe.get("feature_kind", "affect") != "affect":
+    if manifest.d != FEATURE_DIM or manifest.recipe["feature_kind"] != "affect":
         raise ConfigError(f"ablation needs a full {FEATURE_DIM}-dim affect video dataset")
     _check_dims(manifest, config.t, None, "the config")
     # the sweep trains with the Pearson loss too, and reports only val scores

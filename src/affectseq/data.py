@@ -67,7 +67,7 @@ _PROTO = np.array([VA_PROTOTYPES[e] for e in EXPRESSIONS])
 
 
 class DatasetError(Exception):
-    """Malformed record, invariant violation, or bad generation request."""
+    """Malformed dataset file, manifest or record, or a broken record invariant."""
 
 
 def _check_schema(version, where):
@@ -150,7 +150,7 @@ class DatasetManifest:
     @classmethod
     def from_dict(cls, blob, where="manifest"):
         """Raises DatasetError naming `where` and the missing or
-        malformed field."""
+        malformed field, a videos recipe's feature_kind and padding too."""
         if not isinstance(blob, dict):
             raise DatasetError(f"{where} is not a JSON object")
         _check_schema(blob.get("schema_version"), where)
@@ -174,24 +174,26 @@ class DatasetManifest:
                 raise DatasetError(f"{where}: field {key!r} is not an integer")
             if value < 0:
                 raise DatasetError(f"{where}: field {key!r} is negative")
+        recipe = blob["recipe"]
+        for key, allowed in (("feature_kind", ("affect", "descriptor")),
+                             ("padding", ("zeros", "noise"))):
+            if blob["kind"] == "videos" and recipe.get(key) not in allowed:
+                raise DatasetError(f"{where}: field 'recipe.{key}' is {recipe.get(key)!r}, "
+                                   f"expected {allowed[0]!r} or {allowed[1]!r}")
         return cls(
             kind=blob["kind"],
             seed=blob["seed"],
             n=blob["n"],
             d=blob["d"],
-            recipe=blob["recipe"],
+            recipe=recipe,
             t=blob.get("t"),
         )
 
 
 def distribute(n, fractions):
     """Split n into integer counts: floor each share, then hand out the
-    remainder by largest fractional part (ties to the earlier entry)."""
-    fractions = [float(f) for f in fractions]
-    if not all(np.isfinite(f) and f >= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise DatasetError(
-            f"fractions must be finite, nonnegative and sum to 1, got {fractions}"
-        )
+    remainder by largest fractional part (ties to the earlier entry).
+    Callers pass validated fractions (`RunConfig.parse_fractions`)."""
     raw = [f * n for f in fractions]
     counts = [int(np.floor(r)) for r in raw]
     order = sorted(range(len(raw)), key=lambda i: (-(raw[i] - counts[i]), i))
@@ -231,8 +233,6 @@ def _require_finite(samples, fields):
 @np.errstate(over="ignore", invalid="ignore")
 def gen_frame_dataset(seed, n, recipe):
     """Frame samples with configurable partial annotation; deterministic."""
-    if n < 1:
-        raise DatasetError("n must be >= 1")
     kinds = []
     names = [name for name, _ in recipe.label_mix]
     for name, count in zip(names, distribute(n, [f for _, f in recipe.label_mix])):
@@ -344,37 +344,9 @@ def _affect_trajectory(rng, length, recipe, relatedness):
     return np.concatenate([va_obs, weights, au], axis=1)
 
 
-def pad_sequence(frames, t):
-    """Append zero rows up to length t.
-
-    Truncation is deliberately not offered: longer-than-t input is an
-    error, as is an empty clip.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    length = frames.shape[0]
-    if length == 0:
-        raise DatasetError("empty clip (length 0) is invalid")
-    if length > t:
-        raise DatasetError(f"clip length {length} exceeds t={t}; truncation unsupported")
-    padded = np.zeros((t, frames.shape[1]))
-    padded[:length] = frames
-    return padded
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def gen_video_dataset(seed, n, recipe, t):
     """Padded variable-length videos with weak (video-level) labels."""
-    if n < 1:
-        raise DatasetError("n must be >= 1")
-    if not 1 <= recipe.l_min <= recipe.l_max:
-        raise DatasetError(f"bad length range [{recipe.l_min}, {recipe.l_max}]")
-    if recipe.l_max > t:
-        raise DatasetError(f"l_max {recipe.l_max} exceeds t={t}")
-    if recipe.padding not in ("zeros", "noise"):
-        raise DatasetError(f"unknown padding mode {recipe.padding!r}")
-    if recipe.feature_kind not in ("affect", "descriptor"):
-        raise DatasetError(f"unknown feature kind {recipe.feature_kind!r}")
-
     lift = _descriptor_lift(seed, recipe.d_in)
     m = relatedness_matrix()
     samples = []
@@ -383,7 +355,8 @@ def gen_video_dataset(seed, n, recipe, t):
         length = int(rng.integers(recipe.l_min, recipe.l_max + 1))
         affect = _affect_trajectory(rng, length, recipe, m)
         label = video_label(affect, length)
-        padded = pad_sequence(affect, t)
+        padded = np.zeros((t, FEATURE_DIM))
+        padded[:length] = affect
         if recipe.padding == "noise" and length < t:
             # padding noise is a decoy trajectory: statistically shaped like
             # real content but independent of the label, so a model that
@@ -559,9 +532,9 @@ def _check_videos(frames, lengths, labels, recipe):
     live = np.arange(t) < lengths[:, None]  # (n, t)
     dead = ~live[..., None]
     faults = {"bad intensity label": ~((labels >= 0) & (labels <= 1)).all(axis=1)}
-    if recipe.get("padding", "zeros") == "zeros":
+    if recipe["padding"] == "zeros":
         faults["padded rows are not zero"] = ((frames != 0.0) & dead).any(axis=(1, 2))
-    if recipe.get("feature_kind", "affect") == "affect":
+    if recipe["feature_kind"] == "affect":
         va, expr, au = frames[..., VA_SLICE], frames[..., EXPR_SLICE], frames[..., AU_SLICE]
         faults["va block outside [-1, 1]"] = ~((np.abs(va) <= 1.0 + 1e-12) | dead).all(axis=(1, 2))
         faults["expr block has negative mass"] = ~((expr >= -1e-12) | dead).all(axis=(1, 2))
@@ -586,8 +559,6 @@ def _check_videos(frames, lengths, labels, recipe):
 def split(samples, fractions, seed):
     """Deterministic shuffle-then-cut into train/val/test; disjoint and
     exhaustive by construction."""
-    if len(fractions) != 3:
-        raise DatasetError("need exactly 3 fractions (train, val, test)")
     counts = distribute(len(samples), fractions)
     perm = np.random.default_rng(seed).permutation(len(samples))
     shuffled = [samples[i] for i in perm]
@@ -606,8 +577,6 @@ def video_arrays(samples):
 
 def select_columns(samples, subset):
     """Project video frames onto a named representation subset."""
-    if subset not in REPRESENTATION_SUBSETS:
-        raise DatasetError(f"unknown representation subset {subset!r}")
     cols = list(REPRESENTATION_SUBSETS[subset])
     return [
         VideoSample(id=s.id, frames=s.frames[:, cols], length=s.length, label=s.label)

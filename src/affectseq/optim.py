@@ -65,7 +65,12 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
     Per entry, in this order: m = beta1*m + (1-beta1)*g;
     v = beta2*v + ((1-beta2)*g)*g; p - lr*((m/bc1) / (sqrt(v/bc2) + eps)).
+    A non-finite gradient raises FloatingPointError before any update.
     """
+    for name in params:
+        if not np.isfinite(grads[name]).all():
+            raise FloatingPointError(
+                f"non-finite gradient for parameter {name!r} at step {state.step + 1}")
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step

@@ -191,14 +191,6 @@ def test_mask_length_one_keeps_first_block():
     np.testing.assert_array_equal(mask(z, 1, 2), [1, 2, 0, 0, 0, 0, 0, 0])
 
 
-def test_mask_rejects_out_of_range_length():
-    z = np.zeros(8)
-    with pytest.raises(ValueError):
-        mask(z, 0, 2)
-    with pytest.raises(ValueError):
-        mask(z, 5, 2)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
 def test_mask_idempotent_linear_projection(seed, t, d_hidden):

@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -107,6 +108,18 @@ def test_backward_rejects_nonscalar_root():
     g.evaluate({"x": [0.1, 0.2, 0.3]})
     with pytest.raises(ad.GraphError, match="scalar"):
         g.backward()
+
+
+def test_backward_runs_without_floating_point_warnings():
+    # log's gradient 1/x overflows at a subnormal x; like the forward loop
+    # the backward warns of nothing, and optim.adam_step refuses the inf
+    x = ad.param("x", (2,))
+    g = ad.Graph(ad.reduce_sum(ad.log(x)))
+    g.evaluate({"x": [1e-310, 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = g.backward()
+    np.testing.assert_array_equal(grads["x"], [np.inf, 1.0])
 
 
 def test_backward_before_evaluate_rejected():

@@ -919,6 +919,26 @@ def test_manifest_unknown_kind_exits_3(tmp_path, capsys):
     assert f"manifest {manifest}: field 'kind' is 'bogus'" in err and err.count("\n") == 1
 
 
+def test_manifest_unknown_feature_kind_exits_3(tmp_path, capsys):
+    # a recipe that names no feature kind would skip the affect-row checks
+    # and let this out-of-range va train
+    data_path = gen_videos(tmp_path, seed=30, n=8)
+    _rewrite_record(data_path, 0, lambda arrays: arrays["frames"].__setitem__((0, 0), 5.0))
+    manifest = Path(f"{data_path}.manifest.json")
+    blob = json.loads(manifest.read_text())
+    blob["recipe"]["feature_kind"] = "bogus"
+    manifest.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = run(
+        "train", "--preset", "desk", "--t", "16", "--l-min", "4", "--l-max", "16",
+        "--dataset", str(data_path), "--epochs", "1", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert (f"manifest {manifest}: field 'recipe.feature_kind' is 'bogus'" in err
+            and err.count("\n") == 1), err
+
+
 # The batch-size rule: only a run that trains the Pearson loss on video
 # batches needs two videos a batch. gen, eval, gradcheck and the head
 # stage take --batch-size 1; ablate sweeps the Pearson loss whatever

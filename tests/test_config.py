@@ -82,6 +82,12 @@ def test_invalid_json_rejected(tmp_path):
         ({"lr": 10**400}, "lr must be finite"),
         ({"feature_noise": float("nan")}, "feature_noise must be finite, got nan"),
         ({"temperature": 0}, "temperature must be > 0"),
+        ({"n": 0}, "n must be >= 1"),
+        ({"l_min": 0}, "need 1 <= l_min <= l_max"),
+        ({"padding": "wrap"}, "bad padding 'wrap'"),
+        ({"feature_kind": "x"}, "bad feature_kind 'x'"),
+        ({"fractions": "0.5,0.3,0.3"}, "fractions must be 3 finite"),
+        ({"label_mix": "va:0.6,au:0.5"}, "label_mix fractions must be finite"),
     ],
 )
 def test_validation_failures(overrides, message):

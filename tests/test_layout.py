@@ -12,8 +12,9 @@ broadcast gradients are summed down at one place, stored arrays are
 read in one module, `codec`, with no text encoding, each loader reads
 its file's arrays with one call, the video generator's per-frame loop
 makes no numpy call, and neither do the head's loss graph builders.
-Each video invariant's message is written once, and only the graph
-engine reads a graph's forward state, which its backward takes.
+Each video invariant's message is written once, only the graph
+engine reads a graph's forward state, which its backward takes, and the
+functions that take already-validated input check none of it again.
 """
 
 import ast
@@ -200,3 +201,19 @@ def test_only_the_engine_reads_a_graphs_forward_state():
                for path in sources for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in ("_values", "_saved")]
     assert not readers, "graph state read outside autodiff: " + ", ".join(readers)
+
+
+def test_validated_input_is_not_checked_again():
+    # the config (RunConfig.validate) and the loaders check these
+    # functions' arguments where they enter; a second copy of a check
+    # here could drift from the first and runs only in unit tests
+    checked = {"data.py": ("gen_frame_dataset", "gen_video_dataset", "distribute", "split",
+                           "select_columns"),
+               "aggregator.py": ("length_mask",)}
+    raises = []
+    for module, names in checked.items():
+        funcs = {node.name: node for node in ast.parse((PACKAGE / module).read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+        raises += [f"{module} {name} line {node.lineno}" for name in names
+                   for node in ast.walk(funcs[name]) if isinstance(node, ast.Raise)]
+    assert not raises, "re-check of validated input: " + ", ".join(raises)

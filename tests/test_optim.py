@@ -81,6 +81,26 @@ def test_params_given_are_not_written_and_results_are_fresh():
     assert new_state is state and state.step == 1
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_gradient_names_its_parameter(value):
+    # a gradient that overflowed in backward must stop the run here, not
+    # a step later as a non-finite forward value downstream
+    rng = np.random.default_rng(3)
+    params = {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
+    grads = _gradients(rng, SHAPES)
+    grads["matrix"][2, 5] = value
+    state = adam_init(params)
+    adam_step(params, _gradients(rng, SHAPES), state, 1e-2)
+    moments = {k: (m.copy(), state.v[k].copy()) for k, m in state.m.items()}
+    with pytest.raises(FloatingPointError,
+                       match="non-finite gradient for parameter 'matrix' at step 2"):
+        adam_step(params, grads, state, 1e-2)
+    assert state.step == 1
+    for name, (m, v) in moments.items():
+        np.testing.assert_array_equal(state.m[name], m)
+        np.testing.assert_array_equal(state.v[name], v)
+
+
 def test_step_makes_no_full_size_temporary():
     # the fresh parameter array is the one full-size allocation; the two
     # scratch buffers add a quarter of it here, the whole-array formula
